@@ -35,8 +35,10 @@ from .errors import (
     MultiWellUnsupported,
     NoClassicalRegion,
     NoEffectiveMass,
+    NotConfining,
     OddGridRequired,
     OutsideClassicalRegion,
+    QuadratureNotConverged,
     SemiboundError,
     StateRangeMismatch,
     WindowTooWide,

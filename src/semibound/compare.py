@@ -19,7 +19,7 @@ import numpy as np
 
 from .classical import Provenance, SampledDensity, classical_density
 from .errors import GridMismatch, StateRangeMismatch, WindowTooWide
-from .fgh import FghConfig, Spectrum, fgh_density, solve
+from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
 from .wkbj import WkbjState, quantize, wkbj_averaged_density, wkbj_wavefunction
 
@@ -218,9 +218,13 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
     """
     ns = sorted(set(int(n) for n in ns))
     cfg = fgh_config or FghConfig()
-    cfg.n_states = max(cfg.n_states, max(ns) + 1)
-    spectrum = solve(problem, cfg)
+    cfg = replace(cfg, n_states=max(cfg.n_states, max(ns) + 1))
     wkbj_states = [quantize(problem, n) for n in ns]
+    top = wkbj_states[-1]
+    if cfg.box in ("auto", None) and top.n == cfg.n_states - 1:
+        # the auto box comes from this very level: reuse its turning points
+        cfg = replace(cfg, box=padded_box(top.turning_points))
+    spectrum = solve(problem, cfg)
     report = compare_spectra(spectrum, wkbj_states, config_echo)
 
     densities = []

@@ -13,6 +13,10 @@ class NoClassicalRegion(SemiboundError):
     """Binding energy at or below the potential minimum: no classically allowed region."""
 
 
+class NotConfining(SemiboundError):
+    """No turning point on one side of the minimum: the well does not confine at this energy."""
+
+
 class MultiWellUnsupported(SemiboundError):
     """More than two turning points detected; only single wells are supported."""
 
@@ -23,6 +27,10 @@ class OutsideClassicalRegion(SemiboundError):
 
 class EnergyCeilingExceeded(SemiboundError):
     """Quantization bracket search exceeded the configured energy ceiling."""
+
+
+class QuadratureNotConverged(SemiboundError):
+    """An integral did not reach its tolerance within the quadrature node budget."""
 
 
 class DegenerateAlpha(SemiboundError):

@@ -26,6 +26,7 @@ import scipy.linalg
 from .classical import Provenance, SampledDensity
 from .errors import EigensolverFailure, OddGridRequired
 from .kinetics import BoundStateProblem
+from .potentials import TurningPoints
 
 #: fractional cell offset of the potential minimum on auto grids
 GAUSS_OFFSET = 0.5 - 0.5 / np.sqrt(3.0)
@@ -60,14 +61,18 @@ class Spectrum:
         return np.array([s.energy for s in self.states])
 
 
+def padded_box(tps: TurningPoints) -> Tuple[float, float]:
+    """Box reaching BOX_PADDING * d beyond both turning points."""
+    return (tps.a - BOX_PADDING * tps.d, tps.b + BOX_PADDING * tps.d)
+
+
 def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     """Box from the turning points of the highest requested WKBJ state."""
     from .wkbj import quantize
 
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    tps = quantize(problem, n_states - 1).turning_points
-    return (tps.a - BOX_PADDING * tps.d, tps.b + BOX_PADDING * tps.d)
+    return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
 def _grid(box: Tuple[float, float], n_points: int,

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import MultiWellUnsupported, NoClassicalRegion, SemiboundError
+from .errors import MultiWellUnsupported, NoClassicalRegion, NotConfining, SemiboundError
 
 if TYPE_CHECKING:
     from .kinetics import BoundStateProblem
@@ -126,14 +126,15 @@ def _bracket_outward(V: Callable, x0: float, e_b: float, direction: float) -> tu
             return (x, prev) if direction < 0 else (prev, x)
         prev = x
         step *= 2.0
-    raise SemiboundError(
+    raise NotConfining(
         f"no turning point within |x - {x0}| <= {step}: potential may not confine")
 
 
 def turning_points(problem: "BoundStateProblem", E: float) -> TurningPoints:
     """Solve V(a) = V(b) = E_B around the potential minimum.
 
-    Raises NoClassicalRegion when E_B does not exceed the well minimum and
+    Raises NoClassicalRegion when E_B does not exceed the well minimum,
+    NotConfining when V stays below E_B on one side, and
     MultiWellUnsupported when the well rises above E_B between the roots.
     """
     pot = problem.potential

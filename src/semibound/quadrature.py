@@ -4,15 +4,20 @@ Integrands over a classical region (a, b) either vanish like sqrt(x - a) or
 diverge like 1/sqrt(x - a) at the endpoints (smooth kinetic laws). The
 substitution x = a + u^2 makes both smooth, after which composite
 Gauss-Legendre with panel doubling converges rapidly. Integrals are split at
-interior break points (e.g. a potential kink) so each piece is smooth.
+interior break points (e.g. a potential kink) so each piece is smooth. An
+integral that has not converged within the node budget raises
+QuadratureNotConverged rather than returning its last estimate.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .errors import QuadratureNotConverged
 
 #: default relative agreement between successive panel doublings
 REL_TOL = 1e-11
@@ -20,6 +25,8 @@ REL_TOL = 1e-11
 MAX_NODES = 2**20
 #: Gauss-Legendre order per panel
 PANEL_ORDER = 16
+#: panels of the first (coarsest) level of adaptive_gauss
+START_PANELS = 2
 
 
 @lru_cache(maxsize=None)
@@ -45,16 +52,25 @@ def composite_gauss(f: Callable, lo: float, hi: float, panels: int,
 
 def adaptive_gauss(f: Callable, lo: float, hi: float, rel_tol: float = REL_TOL,
                    max_nodes: int = MAX_NODES) -> float:
-    """Double the panel count until successive estimates agree to rel_tol."""
+    """Double the panel count until successive finite estimates agree to rel_tol.
+
+    Raises QuadratureNotConverged when the next doubling would exceed
+    max_nodes. A non-finite estimate never counts as agreement.
+    """
     if hi == lo:
         return 0.0
-    panels = 2
+    panels = START_PANELS
     prev = composite_gauss(f, lo, hi, panels)
     while True:
         panels *= 2
         cur = composite_gauss(f, lo, hi, panels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev)) or panels * 2 * PANEL_ORDER > max_nodes:
+        if (math.isfinite(cur) and math.isfinite(prev)
+                and abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev))):
             return cur
+        if panels * 2 * PANEL_ORDER > max_nodes:
+            raise QuadratureNotConverged(
+                f"no agreement to {rel_tol:g} on [{lo}, {hi}] within {max_nodes} nodes "
+                f"per level: last estimates {prev!r}, {cur!r}")
         prev = cur
 
 
@@ -73,6 +89,27 @@ def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     return h
 
 
+def _pieces(a: float, b: float, splits: Sequence[float],
+            sqrt_left: bool, sqrt_right: bool):
+    """(lo, hi, substitute) per smooth piece of (a, b).
+
+    substitute maps an integrand over x to the integrand on [lo, hi]: the
+    sqrt substitution at a substituted endpoint, the identity elsewhere.
+    """
+    pts = sorted(x for x in splits if a < x < b)
+    if not pts and (sqrt_left or sqrt_right):
+        pts = [0.5 * (a + b)]
+    edges = [a] + pts + [b]
+    for i in range(len(edges) - 1):
+        lo, hi = edges[i], edges[i + 1]
+        if i == 0 and sqrt_left:
+            yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, a, b)
+        elif i == len(edges) - 2 and sqrt_right:
+            yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, b, a)
+        else:
+            yield lo, hi, lambda f: f
+
+
 def well_integral(f: Callable, a: float, b: float,
                   splits: Sequence[float] = (),
                   sqrt_left: bool = True, sqrt_right: bool = True,
@@ -82,18 +119,21 @@ def well_integral(f: Callable, a: float, b: float,
     splits: interior break points (points of reduced smoothness, such as a
     potential kink); values outside (a, b) are ignored.
     """
-    pts = sorted(x for x in splits if a < x < b)
-    if not pts and (sqrt_left or sqrt_right):
-        pts = [0.5 * (a + b)]
-    edges = [a] + pts + [b]
+    return sum(adaptive_gauss(sub(f), lo, hi, rel_tol)
+               for lo, hi, sub in _pieces(a, b, splits, sqrt_left, sqrt_right))
 
-    total = 0.0
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if i == 0 and sqrt_left:
-            total += adaptive_gauss(sqrt_substituted(f, a, b), 0.0, np.sqrt(hi - lo), rel_tol)
-        elif i == len(edges) - 2 and sqrt_right:
-            total += adaptive_gauss(sqrt_substituted(f, b, a), 0.0, np.sqrt(hi - lo), rel_tol)
-        else:
-            total += adaptive_gauss(f, lo, hi, rel_tol)
-    return total
+
+def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
+                       splits: Sequence[float] = (),
+                       sqrt_left: bool = True, sqrt_right: bool = True) -> tuple:
+    """(integral of f to REL_TOL, integral of g on the coarsest rule), one pass.
+
+    Both use the pieces and substitutions of well_integral. g is integrated
+    only on the START_PANELS nodes that begin f's panel doubling: a cheap
+    estimate that never reaches the deep panels next to the endpoints.
+    """
+    total, coarse = 0.0, 0.0
+    for lo, hi, sub in _pieces(a, b, splits, sqrt_left, sqrt_right):
+        total += adaptive_gauss(sub(f), lo, hi)
+        coarse += composite_gauss(sub(g), lo, hi, START_PANELS)
+    return total, coarse

@@ -1,7 +1,8 @@
 """Generalized WKBJ machinery for arbitrary admissible kinetic laws.
 
 The action A(E) = integral of t^-1(E_B - V(x)) between the turning points is
-strictly increasing in E; bound-state energies solve A(E_n) = pi*hbar*(n+1/2).
+strictly increasing in E, with slope dA/dE = tau/2 (the classical half-period);
+bound-state energies solve A(E_n) = pi*hbar*(n+1/2).
 Inside the well the semiclassical wavefunction is
 
     psi(x) = D * sin(Phi(x)/hbar + pi/4) / sqrt(T'(T^-1(E - V(x)))),
@@ -13,18 +14,18 @@ Schroedinger problem near the turning points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .classical import Provenance, SampledDensity, default_grid, speed_field
-from .errors import DegenerateAlpha, EnergyCeilingExceeded
+from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem, Smoothness
 from .potentials import TurningPoints, binding_energy, turning_points
-from .quadrature import well_integral
+from .quadrature import well_integral, well_integral_pair
 
 #: Langer connection phase at a linear turning point
 LANGER_PHASE = np.pi / 4.0
@@ -32,6 +33,8 @@ LANGER_PHASE = np.pi / 4.0
 TP_EXCLUSION = 1e-9
 #: samples per side for the cumulative phase spline
 PHASE_SAMPLES = 2049
+#: quantization stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE
+RESOLUTION_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,28 @@ def _reduced_inverse(problem: BoundStateProblem) -> Callable:
 
 
 def action_integral(problem: BoundStateProblem, E: float,
-                    tps: Optional[TurningPoints] = None) -> float:
-    """A(E) = integral of T^-1(E - V(x)) over the classical region."""
+                    tps: Optional[TurningPoints] = None, *,
+                    with_slope: bool = False):
+    """A(E) = integral of T^-1(E - V(x)) over the classical region.
+
+    with_slope=True returns (A, dA/dE) from one pass: the slope is the
+    half-period integral of 1/|v(x)| = tau/2, taken on the coarsest rule of
+    A's own nodes. It is an estimate for root finding, not a period.
+    """
     tps = tps or turning_points(problem, E)
     g = _reduced_inverse(problem)
     smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-    return well_integral(
-        lambda x: g(x, E), tps.a, tps.b,
-        splits=(problem.potential.minimum_location,),
-        sqrt_left=smooth, sqrt_right=smooth)
+    layout = dict(splits=(problem.potential.minimum_location,),
+                  sqrt_left=smooth, sqrt_right=smooth)
+    if not with_slope:
+        return well_integral(lambda x: g(x, E), tps.a, tps.b, **layout)
+    speed = speed_field(problem, E)
+
+    def inverse_speed(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / speed(x)
+
+    return well_integral_pair(lambda x: g(x, E), inverse_speed, tps.a, tps.b, **layout)
 
 
 def semiclassical_alpha(problem: BoundStateProblem, state: "WkbjState",
@@ -93,13 +109,54 @@ def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float,
     return problem.hbar / (p_star * tps.d)
 
 
+class _Probe(NamedTuple):
+    """A(E) and dA/dE at one energy, with the turning points they used."""
+
+    energy: float
+    tps: TurningPoints
+    action: float
+    slope: float
+
+    @property
+    def slope_usable(self) -> bool:
+        return 0.0 < self.slope < math.inf
+
+
+def _probe(problem: BoundStateProblem, E: float) -> _Probe:
+    tps = turning_points(problem, E)
+    return _Probe(E, tps, *action_integral(problem, E, tps, with_slope=True))
+
+
+def _newton_energy(e_lo: float, point: _Probe, target: float) -> Optional[float]:
+    """Newton step for log A against log(E - e_lo); None when the slope is unusable.
+
+    In these variables A = c * (E - e_lo)^k is solved in one step, and the
+    step equals the plain Newton step (target - A) / (dA/dE) near the root.
+    """
+    if not (point.action > 0.0 and point.slope_usable):
+        return None
+    s = point.energy - e_lo
+    k = s * point.slope / point.action
+    du = math.log(target / point.action) / k
+    # exp overflows past ~709; any step that long leaves the bracket anyway
+    return e_lo + s * math.exp(min(du, 700.0))
+
+
 def quantize(problem: BoundStateProblem, n: int,
              energy_ceiling: Optional[float] = None) -> WkbjState:
-    """Solve A(E_n) = pi*hbar*(n + 1/2) by bracketing + Brent.
+    """Solve A(E_n) = pi*hbar*(n + 1/2) by safeguarded Newton with dA/dE = tau/2.
 
     A(E) is strictly increasing for confining wells, so the root is unique.
-    The bracket grows geometrically; exceeding `energy_ceiling` (default
-    1e12 above the well bottom) signals a non-confining configuration.
+    The bracket starts at the well bottom e_lo, where A = 0 exactly and is
+    never evaluated, and its top grows geometrically until A reaches the
+    target; exceeding `energy_ceiling` (default 1e12 above the well bottom)
+    or losing the turning points signals a non-confining configuration.
+    Inside the bracket each step is Newton on log A against log(E - e_lo),
+    replaced by bisection when it leaves the bracket, fails to halve the
+    step before last, or meets a slope that is not finite and positive. The
+    iteration stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE,
+    which is as finely as A resolves at E, or when the bracket or the step
+    shrinks below one ulp; the best iterate is returned.
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
@@ -109,33 +166,50 @@ def quantize(problem: BoundStateProblem, n: int,
     if energy_ceiling is None:
         energy_ceiling = e_lo + 1e12 * max(1.0, abs(e_lo))
 
-    from .errors import SemiboundError
-
-    gap = max(1.0, abs(e_lo))
-    e_hi = e_lo + gap
+    lo, gap = e_lo, max(1.0, abs(e_lo))
     while True:
         try:
-            if action_integral(problem, e_hi) >= target:
-                break
-        except SemiboundError as exc:
-            # no turning points at the probe energy: the well cannot confine
+            point = _probe(problem, e_lo + gap)
+        except (NoClassicalRegion, NotConfining) as exc:
             raise EnergyCeilingExceeded(
-                f"no classical region at probe energy {e_hi}: {exc}") from exc
+                f"no classical region at probe energy {e_lo + gap}: {exc}") from exc
+        if point.action >= target:
+            break
+        lo = point.energy
         gap *= 2.0
-        e_hi = e_lo + gap
-        if e_hi > energy_ceiling:
+        if e_lo + gap > energy_ceiling:
             raise EnergyCeilingExceeded(
-                f"A(E) below pi*hbar*(n+1/2) = {target} up to E = {e_hi}")
+                f"A(E) below pi*hbar*(n+1/2) = {target} up to E = {e_lo + gap}")
+    hi = point.energy
 
-    energy = brentq(
-        lambda E: action_integral(problem, E) - target,
-        e_lo + 1e-12 * max(1.0, abs(e_lo)), e_hi,
-        xtol=1e-15 * max(1.0, abs(e_hi)), rtol=1e-13)
-    tps = turning_points(problem, energy)
-    residual = abs(action_integral(problem, energy, tps) - target)
-    alpha = _alpha(problem, tps, binding_energy(problem, energy))
-    return WkbjState(n=n, energy=float(energy), turning_points=tps,
-                     alpha=alpha, action_residual=float(residual))
+    best = point
+    last_step = step_before_last = math.inf
+    while True:
+        residual = point.action - target
+        if (point.slope_usable
+                and abs(residual) <= RESOLUTION_ULPS * np.spacing(point.energy) * point.slope):
+            break
+        if residual > 0.0:
+            hi = point.energy
+        else:
+            lo = point.energy
+        if hi - lo <= 2.0 * np.spacing(hi):
+            break
+        e_new = _newton_energy(e_lo, point, target)
+        if (e_new is None or not lo < e_new < hi
+                or abs(e_new - point.energy) > 0.5 * step_before_last):
+            e_new = 0.5 * (lo + hi)
+        if e_new == point.energy:
+            break
+        step_before_last, last_step = last_step, abs(e_new - point.energy)
+        point = _probe(problem, e_new)
+        if abs(point.action - target) < abs(best.action - target):
+            best = point
+
+    tps = best.tps
+    alpha = _alpha(problem, tps, binding_energy(problem, best.energy))
+    return WkbjState(n=n, energy=float(best.energy), turning_points=tps,
+                     alpha=alpha, action_residual=float(abs(best.action - target)))
 
 
 def _phase_spline(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semibound.wkbj
 from semibound.cli import main, parse_config, run_solve, validate
-from semibound.errors import ConfigError
+from semibound.errors import ConfigError, QuadratureNotConverged
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_A = REPO / "configs" / "benchmark_a.yaml"
@@ -153,6 +154,17 @@ fgh: {n_points: 256, n_states: 2}
 """)
     assert main(["solve", "--config", str(path), "--pipeline", "fgh",
                  "--out", str(tmp_path / "x")]) == 1
+
+
+def test_exit_code_1_on_quadrature_budget(tmp_path, monkeypatch, capsys):
+    def capped(*args, **kwargs):
+        raise QuadratureNotConverged("budget reached")
+
+    monkeypatch.setattr(semibound.wkbj, "quantize", capped)
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    assert main(["solve", "--config", str(path), "--pipeline", "wkbj",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "QuadratureNotConverged" in capsys.readouterr().err
 
 
 def test_validate_command_reports_bad_parameter(capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import semibound.compare
+import semibound.wkbj
 from semibound import (
     FghConfig,
     GridMismatch,
@@ -137,6 +139,31 @@ def test_report_ordering_and_errors(benchmark_a):
     l1 = [m.l1_classical_vs_fgh_averaged for m in report.density_metrics]
     assert l1[0] > l1[1] > l1[2]
     assert all(0.0 <= v <= 2.0 for v in l1)
+
+
+def test_build_report_leaves_config_alone_and_quantizes_once(monkeypatch, benchmark_a):
+    calls = []
+    original = semibound.wkbj.quantize
+
+    def counting(problem, n, *args, **kwargs):
+        calls.append(n)
+        return original(problem, n, *args, **kwargs)
+
+    # compare holds its own reference; auto_box looks quantize up in wkbj
+    monkeypatch.setattr(semibound.compare, "quantize", counting)
+    monkeypatch.setattr(semibound.wkbj, "quantize", counting)
+    cfg = FghConfig(n_points=257, n_states=4)
+    report, _ = build_report(benchmark_a, [0, 5, 9], cfg)
+    assert cfg == FghConfig(n_points=257, n_states=4)
+    assert sorted(calls) == [0, 5, 9]
+    assert [r.n for r in report.per_state] == [0, 5, 9]
+
+
+def test_build_report_box_equals_auto_box(benchmark_a):
+    report, _ = build_report(benchmark_a, [0, 3], FghConfig(n_points=257, n_states=4))
+    spectrum = solve(benchmark_a, FghConfig(n_points=257, n_states=4))
+    assert [r.energy_fgh for r in report.per_state] == [
+        spectrum.states[n].energy for n in (0, 3)]
 
 
 def test_export_files_and_determinism(tmp_path, benchmark_a):

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from semibound.quadrature import adaptive_gauss, composite_gauss, well_integral
+from semibound import QuadratureNotConverged
+from semibound.quadrature import (
+    PANEL_ORDER,
+    START_PANELS,
+    adaptive_gauss,
+    composite_gauss,
+    well_integral,
+    well_integral_pair,
+)
 
 
 def test_polynomial_exact():
@@ -49,3 +57,26 @@ def test_oscillatory_integrand():
 
 def test_empty_interval():
     assert adaptive_gauss(np.exp, 1.0, 1.0) == 0.0
+
+
+def test_infinite_integrand_raises_at_budget():
+    with pytest.raises(QuadratureNotConverged):
+        adaptive_gauss(lambda x: np.full_like(x, np.inf), 0.0, 1.0, max_nodes=2**12)
+
+
+def test_infinite_estimate_never_agrees_with_finite():
+    # finite on the coarsest level only: a finite-vs-inf pair must not pass
+    # as agreement, and the inf levels that follow run into the budget
+    coarse = START_PANELS * PANEL_ORDER
+    f = lambda x: np.ones_like(x) if x.size == coarse else np.full_like(x, np.inf)
+    with pytest.raises(QuadratureNotConverged):
+        adaptive_gauss(f, 0.0, 1.0, max_nodes=2**12)
+
+
+def test_pair_matches_separate_integrals():
+    # integral of sqrt(1-x^2) to tolerance; of 1/sqrt(1-x^2) on the coarse rule
+    f = lambda x: np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    g = lambda x: 1.0 / np.sqrt(1.0 - x * x)
+    total, coarse = well_integral_pair(f, g, -1.0, 1.0, splits=(0.0,))
+    assert total == well_integral(f, -1.0, 1.0, splits=(0.0,))
+    assert coarse == pytest.approx(np.pi, rel=1e-12)

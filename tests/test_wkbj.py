@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import semibound.wkbj
 from semibound import (
     BoundStateProblem,
     EnergyCeilingExceeded,
+    MultiWellUnsupported,
     action_integral,
     classical_density,
     harmonic,
+    linear,
+    massless,
     nonrelativistic,
+    power,
     quantize,
+    relativistic,
     semiclassical_alpha,
     turning_points,
     wkbj_averaged_density,
@@ -114,6 +121,67 @@ def test_energy_ceiling_for_saturating_potential():
     prob = BoundStateProblem(nonrelativistic(1.0), plateau)
     with pytest.raises(EnergyCeilingExceeded):
         quantize(prob, 40, energy_ceiling=50.0)
+
+
+def test_double_well_keeps_its_error_type():
+    dw = potential_from_callable("dw", lambda x: 4 * (x * x - 1) ** 2, minimum_location=1.0)
+    with pytest.raises(MultiWellUnsupported):
+        quantize(BoundStateProblem(nonrelativistic(1.0), dw), 0)
+
+
+QUANTIZER_CASES = {
+    "benchmark_a": (relativistic(0.2), linear(0.2)),
+    "benchmark_b": (massless(), linear(0.2)),
+    "oscillator": (nonrelativistic(1.0), harmonic(1.0, 1.0)),
+    "relativistic_quartic": (relativistic(1.0), power(1.0, 4.0)),
+    "relativistic_m50": (relativistic(50.0), linear(0.2)),
+    "relativistic_m100": (relativistic(100.0), linear(0.2)),
+}
+
+
+def _well_bottom(problem):
+    return problem.potential.minimum_value + problem.kinetic.rest_energy
+
+
+@pytest.mark.parametrize("n", [0, 5, 15, 63])
+@pytest.mark.parametrize("case", sorted(QUANTIZER_CASES))
+def test_quantize_matches_brent_reference(case, n):
+    problem = BoundStateProblem(*QUANTIZER_CASES[case])
+    state = quantize(problem, n)
+    target = np.pi * (n + 0.5)
+    e_lo = _well_bottom(problem)
+    s = state.energy - e_lo
+    # Brent on A(E) - target, bracketed well away from the well bottom
+    reference = brentq(lambda E: action_integral(problem, E) - target,
+                       e_lo + 0.5 * s, e_lo + 2.0 * s,
+                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    assert abs(state.energy - reference) <= 1e-13 * abs(reference)
+    assert state.action_residual <= 1e-12 * target
+
+
+@pytest.mark.parametrize("n", [0, 5, 15, 63])
+@pytest.mark.parametrize("case", sorted(QUANTIZER_CASES))
+def test_quantize_probes(monkeypatch, case, n):
+    problem = BoundStateProblem(*QUANTIZER_CASES[case])
+    energies = []
+    original = semibound.wkbj.action_integral
+
+    def counting(problem, E, *args, **kwargs):
+        energies.append(E)
+        return original(problem, E, *args, **kwargs)
+
+    monkeypatch.setattr(semibound.wkbj, "action_integral", counting)
+    state = quantize(problem, n)
+    e_lo = _well_bottom(problem)
+    # A(e_lo) = 0 is known: no probe at or next to the well bottom
+    assert min(energies) - e_lo > 1e-6 * (state.energy - e_lo)
+    # the bracket probes come first, at e_lo + gap * 2^k
+    gap = max(1.0, abs(e_lo))
+    bracket = 0
+    while bracket < len(energies) and energies[bracket] == e_lo + gap * 2.0**bracket:
+        bracket += 1
+    assert bracket >= 1
+    assert len(energies) - bracket <= 12
 
 
 def test_alpha_massless_closed_form(benchmark_b):
