@@ -83,28 +83,40 @@ def speed_at(problem: BoundStateProblem, E: float, x: float,
     return float(speed_field(problem, E)(x))
 
 
+def well_layout(problem: BoundStateProblem) -> dict:
+    """Keyword layout of `well_integral` over this problem's classical region.
+
+    The region is split at the potential minimum; for smooth kinetic laws
+    both turning points are sqrt-substituted.
+    """
+    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
+    return dict(splits=(problem.potential.minimum_location,),
+                sqrt_left=smooth, sqrt_right=smooth)
+
+
 def period(problem: BoundStateProblem, E: float,
            tps: Optional[TurningPoints] = None) -> float:
     """Orbit period tau = 2 * integral dx / |v(x)| over the classical region."""
     tps = tps or turning_points(problem, E)
     speed = speed_field(problem, E)
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-    half = well_integral(
-        lambda x: 1.0 / speed(x), tps.a, tps.b,
-        splits=(problem.potential.minimum_location,),
-        sqrt_left=smooth, sqrt_right=smooth)
-    return 2.0 * half
+    return 2.0 * well_integral(lambda x: 1.0 / speed(x), tps.a, tps.b,
+                               **well_layout(problem))
 
 
 def classical_density(problem: BoundStateProblem, E: float,
                       grid: Optional[np.ndarray] = None,
-                      tps: Optional[TurningPoints] = None) -> SampledDensity:
-    """rho_cl on a grid: (2/tau)/|v| inside (a, b), 0 outside, +inf at the TPs."""
+                      tps: Optional[TurningPoints] = None,
+                      tau: Optional[float] = None) -> SampledDensity:
+    """rho_cl on a grid: (2/tau)/|v| inside (a, b), 0 outside, +inf at the TPs.
+
+    `tau` is the period at E when the caller already has it.
+    """
     tps = tps or turning_points(problem, E)
     if grid is None:
         grid = default_grid(tps)
     grid = np.asarray(grid, dtype=float)
-    tau = period(problem, E, tps)
+    if tau is None:
+        tau = period(problem, E, tps)
     speed = speed_field(problem, E)
 
     values = np.zeros_like(grid)

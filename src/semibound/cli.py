@@ -3,14 +3,14 @@
     semibound solve --config run.yaml --pipeline compare [--out DIR]
     semibound validate --config run.yaml
 
-Exit codes: 0 success, 1 solver error, 2 config parse/validation error,
-3 kinetic-law admissibility failure.
+Exit codes: 0 success, 1 solver error, 2 config parse/validation error
+(including an FGH grid too small for the requested states), 3 kinetic-law
+admissibility failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -22,7 +22,6 @@ import yaml
 from . import classical, compare, fgh, kinetics, potentials, wkbj
 from .errors import ConfigError, SemiboundError
 
-PIPELINES = ("classical", "wkbj", "fgh", "compare")
 
 
 class LawValidationFailure(SemiboundError):
@@ -115,6 +114,11 @@ def parse_config(path) -> RunConfig:
         box=box if box is not None else "auto",
         n_states=int(fgh_raw.get("n_states", max(states) + 1)),
     )
+    # the compare pipeline solves for at least max(states) + 1 levels
+    levels = max(fgh_cfg.n_states, max(states) + 1)
+    if fgh_cfg.n_points < 2 * levels + 1:
+        raise ConfigError(f"fgh.n_points = {fgh_cfg.n_points} is too small for {levels} "
+                          f"states: at least {2 * levels + 1} are needed")
 
     outputs = raw.get("outputs", {}) or {}
     formats = outputs.get("formats", ["csv", "json"])
@@ -163,24 +167,62 @@ def validate(config: RunConfig) -> kinetics.ValidationReport:
     return kinetics.validate_admissibility(law, samples)
 
 
-def _density_grid(tps, config: RunConfig) -> np.ndarray:
-    return classical.default_grid(tps, config.grid_points)
+def _states_doc(config: RunConfig, rows: list) -> dict:
+    """JSON document of a per-state pipeline: its rows with energy_* named energy."""
+    return {"config": config.echo, "states": [
+        {("energy" if k.startswith("energy_") else k): v for k, v in row.items()}
+        for row in rows]}
 
 
-def _write_json(out: Path, doc: dict) -> Path:
-    path = out / "report.json"
-    path.write_text(json.dumps(compare._jsonable(doc), sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+def _classical(problem, config: RunConfig, ns: list) -> tuple:
+    rows, densities = [], []
+    for n in ns:
+        state = wkbj.quantize(problem, n)
+        tps = state.turning_points
+        tau = classical.period(problem, state.energy, tps)
+        densities.append(replace(classical.classical_density(
+            problem, state.energy, classical.default_grid(tps, config.grid_points),
+            tps, tau), n=n))
+        rows.append({"n": n, "energy_wkbj": state.energy, "a": tps.a, "b": tps.b,
+                     "d": tps.d, "period": tau})
+    return rows, densities, _states_doc(config, rows)
 
 
-def _write_summary(out: Path, header: list, rows: list) -> Path:
-    path = out / "summary.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(compare._fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
+    rows, densities = [], []
+    for n in ns:
+        state = wkbj.quantize(problem, n)
+        tps = state.turning_points
+        grid = classical.default_grid(tps, config.grid_points)
+        densities.append(wkbj.wkbj_wavefunction(problem, state, grid))
+        densities.append(wkbj.wkbj_averaged_density(problem, state, grid))
+        rows.append({"n": n, "energy_wkbj": state.energy, "alpha": state.alpha,
+                     "action_residual": state.action_residual, "a": tps.a, "b": tps.b})
+    return rows, densities, _states_doc(config, rows)
+
+
+def _fgh(problem, config: RunConfig, ns: list) -> tuple:
+    spectrum = fgh.solve(problem, config.fgh)
+    ns = [n for n in ns if n < len(spectrum.states)]
+    rows = [{"n": n, "energy_fgh": spectrum.states[n].energy} for n in ns]
+    densities = [fgh.fgh_density(spectrum, n) for n in ns]
+    return rows, densities, _states_doc(config, rows)
+
+
+def _compare(problem, config: RunConfig, ns: list) -> tuple:
+    report, densities = compare.build_report(problem, ns, config.fgh, config_echo=config.echo)
+    rows, doc = compare.report_tables(report)
+    return rows, densities, doc
+
+
+#: pipeline -> (summary.csv columns, runner returning (rows, densities, JSON document))
+_PIPELINES = {
+    "classical": (("n", "energy_wkbj", "a", "b", "d", "period"), _classical),
+    "wkbj": (("n", "energy_wkbj", "alpha", "action_residual", "a", "b"), _wkbj),
+    "fgh": (("n", "energy_fgh"), _fgh),
+    "compare": (compare.SUMMARY_HEADER, _compare),
+}
+PIPELINES = tuple(_PIPELINES)
 
 
 def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -> list:
@@ -192,69 +234,10 @@ def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -
         problem.kinetic, np.linspace(-config.p_max, config.p_max, config.n_samples))
     if not admissibility.all_passed:
         raise LawValidationFailure(admissibility)
-    out = Path(out_dir or config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    ns = sorted(set(config.states))
-
-    if pipeline == "compare":
-        report, densities = compare.build_report(
-            problem, ns, config.fgh, config_echo=config.echo)
-        return compare.export(report, densities, config.formats, out)
-
-    if pipeline == "classical":
-        rows, densities, jstates = [], [], []
-        for n in ns:
-            state = wkbj.quantize(problem, n)
-            tps = state.turning_points
-            rho = replace(classical.classical_density(
-                problem, state.energy, grid=_density_grid(tps, config), tps=tps), n=n)
-            densities.append(rho)
-            tau = classical.period(problem, state.energy, tps)
-            rows.append([n, state.energy, tps.a, tps.b, tps.d, tau])
-            jstates.append({"n": n, "energy": state.energy, "a": tps.a, "b": tps.b,
-                            "d": tps.d, "period": tau})
-        if "csv" in config.formats:
-            written.append(_write_summary(
-                out, ["n", "energy_wkbj", "a", "b", "d", "period"], rows))
-            written.extend(compare.write_density_tables(densities, out))
-        if "json" in config.formats:
-            written.append(_write_json(out, {"config": config.echo, "states": jstates}))
-        return written
-
-    if pipeline == "wkbj":
-        rows, densities, jstates = [], [], []
-        for n in ns:
-            state = wkbj.quantize(problem, n)
-            grid = _density_grid(state.turning_points, config)
-            densities.append(wkbj.wkbj_wavefunction(problem, state, grid))
-            densities.append(wkbj.wkbj_averaged_density(problem, state, grid))
-            tps = state.turning_points
-            rows.append([n, state.energy, state.alpha, state.action_residual,
-                         tps.a, tps.b])
-            jstates.append({"n": n, "energy": state.energy, "alpha": state.alpha,
-                            "action_residual": state.action_residual,
-                            "a": tps.a, "b": tps.b})
-        if "csv" in config.formats:
-            written.append(_write_summary(
-                out, ["n", "energy_wkbj", "alpha", "action_residual", "a", "b"], rows))
-            written.extend(compare.write_density_tables(densities, out))
-        if "json" in config.formats:
-            written.append(_write_json(out, {"config": config.echo, "states": jstates}))
-        return written
-
-    # pipeline == "fgh"
-    spectrum = fgh.solve(problem, config.fgh)
-    densities = [fgh.fgh_density(spectrum, n) for n in ns if n < len(spectrum.states)]
-    rows = [[n, spectrum.states[n].energy] for n in ns if n < len(spectrum.states)]
-    if "csv" in config.formats:
-        written.append(_write_summary(out, ["n", "energy_fgh"], rows))
-        written.extend(compare.write_density_tables(densities, out))
-    if "json" in config.formats:
-        written.append(_write_json(out, {
-            "config": config.echo,
-            "states": [{"n": n, "energy": e} for n, e in rows]}))
-    return written
+    header, runner = _PIPELINES[pipeline]
+    rows, densities, doc = runner(problem, config, sorted(set(config.states)))
+    return compare.write_outputs(header, rows, doc, densities, config.formats,
+                                 out_dir or config.out_dir)
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,7 @@ track the oscillation period growing toward the turning points.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -21,7 +21,7 @@ from .classical import Provenance, SampledDensity, classical_density
 from .errors import GridMismatch, StateRangeMismatch, WindowTooWide
 from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
-from .wkbj import WkbjState, quantize, wkbj_averaged_density, wkbj_wavefunction
+from .wkbj import WkbjState, quantize, wkbj_wavefunction
 
 #: fraction of d excluded at each turning point by the interior sup-norm
 SUP_MARGIN = 0.02
@@ -236,7 +236,8 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
                               tps=state.turning_points),
             n=state.n)
         rho_wkbj = wkbj_wavefunction(problem, state, grid=spectrum.grid)
-        rho_wkbj_avg = wkbj_averaged_density(problem, state, grid=spectrum.grid)
+        # the averaged WKBJ density is the classical one (criterion 6)
+        rho_wkbj_avg = replace(rho_cl, provenance=Provenance.WKBJ_AVERAGED)
         e_fgh = spectrum.states[state.n].energy
         rho_fgh_avg = debroglie_average(problem, e_fgh, rho_fgh)
         metrics.append(DensityMetrics(
@@ -248,10 +249,7 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
         ))
         densities.extend([rho_cl, rho_wkbj, rho_fgh])
 
-    report = ComparisonReport(per_state=report.per_state,
-                              density_metrics=tuple(metrics),
-                              config_echo=report.config_echo)
-    return report, densities
+    return replace(report, density_metrics=tuple(metrics)), densities
 
 
 def _fmt(x) -> str:
@@ -274,6 +272,11 @@ def _jsonable(obj):
     return obj
 
 
+def _write_lines(path: Path, lines: Iterable[str]) -> Path:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def write_density_tables(densities: Sequence[SampledDensity],
                          out_dir: Union[str, Path]) -> list:
     """One CSV per quantum number with an x column plus one column per route."""
@@ -286,64 +289,58 @@ def write_density_tables(densities: Sequence[SampledDensity],
         group = by_state[n]
         grid = group[0].grid
         cols = [(_COLUMN_FOR[rho.provenance], rho.values) for rho in group]
-        path = out / f"density_n{n:03d}.csv"
         rows = [",".join(["x"] + [name for name, _ in cols])]
         for i in range(len(grid)):
             rows.append(",".join([_fmt(float(grid[i]))]
                                  + [_fmt(float(v[i])) for _, v in cols]))
-        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        written.append(path)
+        written.append(_write_lines(out / f"density_n{n:03d}.csv", rows))
     return written
 
 
-def export(report: ComparisonReport, densities: Sequence[SampledDensity],
-           formats: Iterable[str], out_dir: Union[str, Path]) -> list:
-    """Write summary/density CSV tables and/or a JSON report; returns the paths.
+def write_outputs(header: Sequence[str], rows: Sequence[dict], doc: dict,
+                  densities: Sequence[SampledDensity], formats: Iterable[str],
+                  out_dir: Union[str, Path]) -> list:
+    """The one writer of every pipeline; returns the written paths.
 
-    Output is bit-deterministic for identical inputs: floats are written with
-    17 significant digits and non-finite sentinels as null.
+    csv: summary.csv (the header, then each row's cells in header order) and
+    one density table per state; json: report.json holding doc. Output is
+    bit-deterministic for identical inputs: floats are written with 17
+    significant digits and non-finite sentinels as null.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     formats = set(formats)
-
     if "csv" in formats:
-        path = out / "summary.csv"
-        lines = ["n,energy_fgh,energy_wkbj,relative_error,alpha,"
-                 "l1_classical_vs_fgh_averaged,l1_classical_vs_wkbj_averaged,"
-                 "sup_interior_classical_vs_fgh_averaged"]
-        by_n = {m.n: m for m in report.density_metrics}
-        for row in report.per_state:
-            m = by_n.get(row.n)
-            cells = [row.n, row.energy_fgh, row.energy_wkbj, row.relative_error, row.alpha]
-            cells += ([m.l1_classical_vs_fgh_averaged, m.l1_classical_vs_wkbj_averaged,
-                       m.sup_interior_classical_vs_fgh_averaged] if m else [None, None, None])
-            lines.append(",".join(_fmt(c) for c in cells))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+        lines = [",".join(header)] + [",".join(_fmt(row[c]) for c in header) for row in rows]
+        written.append(_write_lines(out / "summary.csv", lines))
         written.extend(write_density_tables(densities, out))
-
     if "json" in formats:
-        doc = {
-            "config": _jsonable(report.config_echo),
-            "per_state": [
-                {"n": r.n, "energy_fgh": r.energy_fgh, "energy_wkbj": r.energy_wkbj,
-                 "relative_error": r.relative_error, "alpha": r.alpha}
-                for r in report.per_state
-            ],
-            "density_metrics": [
-                {"n": m.n,
-                 "l1_classical_vs_fgh_averaged": m.l1_classical_vs_fgh_averaged,
-                 "l1_classical_vs_wkbj_averaged": m.l1_classical_vs_wkbj_averaged,
-                 "sup_interior_classical_vs_fgh_averaged":
-                     m.sup_interior_classical_vs_fgh_averaged}
-                for m in report.density_metrics
-            ],
-        }
-        path = out / "report.json"
-        path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
-        written.append(path)
-
+        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
+        written.append(_write_lines(out / "report.json", [text]))
     return written
+
+
+#: summary.csv columns of the compare pipeline
+SUMMARY_HEADER = tuple(f.name for f in fields(StateComparison)) + tuple(
+    f.name for f in fields(DensityMetrics) if f.name != "n")
+
+
+def report_tables(report: ComparisonReport) -> tuple:
+    """(summary rows keyed by SUMMARY_HEADER, JSON document) of a report.
+
+    A state without density metrics gets null metric cells.
+    """
+    per_state = [asdict(r) for r in report.per_state]
+    metrics = [asdict(m) for m in report.density_metrics]
+    by_n = {m["n"]: m for m in metrics}
+    rows = [{**dict.fromkeys(SUMMARY_HEADER), **by_n.get(r["n"], {}), **r} for r in per_state]
+    doc = {"config": report.config_echo, "per_state": per_state, "density_metrics": metrics}
+    return rows, doc
+
+
+def export(report: ComparisonReport, densities: Sequence[SampledDensity],
+           formats: Iterable[str], out_dir: Union[str, Path]) -> list:
+    """Write a comparison report and its densities through `write_outputs`."""
+    rows, doc = report_tables(report)
+    return write_outputs(SUMMARY_HEADER, rows, doc, densities, formats, out_dir)

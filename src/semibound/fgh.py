@@ -34,7 +34,7 @@ GAUSS_OFFSET = 0.5 - 0.5 / np.sqrt(3.0)
 BOX_PADDING = 0.35
 
 
-@dataclass
+@dataclass(frozen=True)
 class FghConfig:
     n_points: int = 513
     box: Union[str, Tuple[float, float]] = "auto"

@@ -15,13 +15,14 @@ Schroedinger problem near the turning points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .classical import Provenance, SampledDensity, default_grid, speed_field
+from .classical import (Provenance, SampledDensity, classical_density, default_grid,
+                        speed_field, well_layout)
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem, Smoothness
 from .potentials import TurningPoints, binding_energy, turning_points
@@ -75,9 +76,7 @@ def action_integral(problem: BoundStateProblem, E: float,
     """
     tps = tps or turning_points(problem, E)
     g = _reduced_inverse(problem)
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-    layout = dict(splits=(problem.potential.minimum_location,),
-                  sqrt_left=smooth, sqrt_right=smooth)
+    layout = well_layout(problem)
     if not with_slope:
         return well_integral(lambda x: g(x, E), tps.a, tps.b, **layout)
     speed = speed_field(problem, E)
@@ -277,18 +276,14 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
         with np.errstate(divide="ignore"):
             return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
 
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-    norm = well_integral(
-        lambda x: raw_psi(x) ** 2, tps.a, tps.b,
-        splits=(problem.potential.minimum_location,),
-        sqrt_left=smooth, sqrt_right=smooth)
+    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, **well_layout(problem))
     D = 1.0 / np.sqrt(norm)
 
     grid = np.asarray(grid, dtype=float)
     psi = np.zeros_like(grid)
     inside = (grid >= tps.a) & (grid <= tps.b)
     psi[inside] = D * raw_psi(grid[inside])
-    if smooth:
+    if problem.kinetic.smoothness is Smoothness.SMOOTH:
         on_tp = inside & ((np.abs(grid - tps.a) < TP_EXCLUSION * tps.d)
                           | (np.abs(grid - tps.b) < TP_EXCLUSION * tps.d))
         psi[on_tp] = np.inf
@@ -317,29 +312,8 @@ def wkbj_averaged_density(problem: BoundStateProblem, state: WkbjState,
     """sin^2 replaced by its mean 1/2: rho = const / T'(T^-1(E - V(x))) on (a, b).
 
     After the mandated renormalization the constant is 1 over the integral of
-    1/|v|, which makes the curve identical to the classical distribution at
-    the same energy.
+    1/|v|, which makes the curve the classical distribution at the same
+    energy (acceptance criterion 6); it is computed as such and relabelled.
     """
-    tps = state.turning_points
-    if grid is None:
-        grid = default_grid(tps)
-    grid = np.asarray(grid, dtype=float)
-    speed = speed_field(problem, state.energy)
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-    norm = well_integral(
-        lambda x: 1.0 / speed(x), tps.a, tps.b,
-        splits=(problem.potential.minimum_location,),
-        sqrt_left=smooth, sqrt_right=smooth)
-
-    values = np.zeros_like(grid)
-    inside = (grid >= tps.a) & (grid <= tps.b)
-    with np.errstate(divide="ignore"):
-        values[inside] = (1.0 / norm) / speed(grid[inside])
-    return SampledDensity(
-        grid=grid,
-        values=values,
-        support=tps,
-        provenance=Provenance.WKBJ_AVERAGED,
-        normalization_domain=(tps.a, tps.b),
-        n=state.n,
-    )
+    rho = classical_density(problem, state.energy, grid, state.turning_points)
+    return replace(rho, provenance=Provenance.WKBJ_AVERAGED, n=state.n)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import semibound.classical
 import semibound.wkbj
 from semibound.cli import main, parse_config, run_solve, validate
 from semibound.errors import ConfigError, QuadratureNotConverged
@@ -174,13 +175,96 @@ def test_validate_command_reports_bad_parameter(capsys):
     assert "pass" in out
 
 
-def test_byte_identical_reruns(tmp_path):
-    path = write_config(tmp_path, OSCILLATOR_YAML)
+@pytest.mark.parametrize("config,pipeline", [(None, "compare")] + [
+    (config, pipeline) for config in (BENCH_A, BENCH_B)
+    for pipeline in ("classical", "wkbj", "fgh", "compare")],
+    ids=lambda value: "oscillator" if value is None else getattr(value, "stem", value))
+def test_byte_identical_reruns(tmp_path, config, pipeline):
+    path = config or write_config(tmp_path, OSCILLATOR_YAML)
     for sub in ("r1", "r2"):
-        assert main(["solve", "--config", str(path), "--pipeline", "compare",
+        assert main(["solve", "--config", str(path), "--pipeline", pipeline,
                      "--out", str(tmp_path / sub)]) == 0
     f1 = sorted((tmp_path / "r1").iterdir())
     f2 = sorted((tmp_path / "r2").iterdir())
     assert [p.name for p in f1] == [p.name for p in f2]
     for p1, p2 in zip(f1, f2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+SCHEMA = {
+    "classical": ("n,energy_wkbj,a,b,d,period", "x,rho_cl",
+                  {"states": ["a", "b", "d", "energy", "n", "period"]}),
+    "wkbj": ("n,energy_wkbj,alpha,action_residual,a,b", "x,rho_wkbj,rho_wkbj_averaged",
+             {"states": ["a", "action_residual", "alpha", "b", "energy", "n"]}),
+    "fgh": ("n,energy_fgh", "x,rho_fgh", {"states": ["energy", "n"]}),
+    "compare": ("n,energy_fgh,energy_wkbj,relative_error,alpha,"
+                "l1_classical_vs_fgh_averaged,l1_classical_vs_wkbj_averaged,"
+                "sup_interior_classical_vs_fgh_averaged",
+                "x,rho_cl,rho_wkbj,rho_fgh",
+                {"per_state": ["alpha", "energy_fgh", "energy_wkbj", "n", "relative_error"],
+                 "density_metrics": ["l1_classical_vs_fgh_averaged",
+                                     "l1_classical_vs_wkbj_averaged", "n",
+                                     "sup_interior_classical_vs_fgh_averaged"]}),
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(SCHEMA))
+def test_output_schema(tmp_path, pipeline):
+    summary_header, density_header, lists = SCHEMA[pipeline]
+    out = tmp_path / "out"
+    written = run_solve(parse_config(write_config(tmp_path, OSCILLATOR_YAML)), pipeline, out)
+    assert [p.name for p in written] == ["summary.csv", "density_n000.csv", "report.json"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "density_n000.csv", "report.json", "summary.csv"]
+    assert (out / "summary.csv").read_text().splitlines()[0] == summary_header
+    assert (out / "density_n000.csv").read_text().splitlines()[0] == density_header
+    doc = json.loads((out / "report.json").read_text())
+    assert sorted(doc) == sorted(["config", *lists])
+    for key, fields in lists.items():
+        assert doc[key] and all(sorted(entry) == fields for entry in doc[key])
+
+
+@pytest.mark.parametrize("pipeline", ["classical", "compare"])
+def test_period_computed_once_per_level(tmp_path, monkeypatch, pipeline):
+    energies = []
+    original = semibound.classical.period
+
+    def counting(problem, E, *args, **kwargs):
+        energies.append(E)
+        return original(problem, E, *args, **kwargs)
+
+    monkeypatch.setattr(semibound.classical, "period", counting)
+    cfg = parse_config(BENCH_A)
+    run_solve(cfg, pipeline, out_dir=tmp_path / "out")
+    assert len(energies) == len(set(energies)) == len(cfg.states)
+
+
+SMALL_GRID_YAML = """
+problem:
+  kinetic: {kind: nonrelativistic, m: 1.0}
+  potential: {kind: harmonic, mass: 1.0, omega: 1.0}
+states: STATES
+fgh: {n_points: POINTS, n_states: 6}
+"""
+
+
+@pytest.mark.parametrize("pipeline", ["fgh", "compare"])
+def test_exit_code_2_on_too_small_grid(tmp_path, capsys, pipeline):
+    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0]")
+                        .replace("POINTS", "9"))
+    assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "fgh.n_points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("states,points,ok", [
+    ("[0]", 13, True), ("[0]", 11, False), ("[7]", 17, True), ("[7]", 15, False)])
+def test_grid_size_counts_requested_states(tmp_path, states, points, ok):
+    # n_states = 6, or max(states) + 1 when that is larger
+    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", states)
+                        .replace("POINTS", str(points)))
+    if ok:
+        assert parse_config(path).fgh.n_points == points
+    else:
+        with pytest.raises(ConfigError, match="too small"):
+            parse_config(path)

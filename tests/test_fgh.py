@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -94,6 +96,13 @@ def test_even_grid_rejected(benchmark_a):
 def test_too_few_points_rejected(benchmark_a):
     with pytest.raises(ValueError):
         solve(benchmark_a, FghConfig(n_points=21, box=(-20, 20), n_states=11))
+
+
+def test_config_is_frozen():
+    cfg = FghConfig(n_points=257, n_states=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.n_states = 8
+    assert cfg == FghConfig(n_points=257, n_states=4)
 
 
 def test_harmonic_spectrum(oscillator):
