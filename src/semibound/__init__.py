@@ -32,6 +32,7 @@ from .errors import (
     EigensolverFailure,
     EnergyCeilingExceeded,
     GridMismatch,
+    GridTooSmall,
     MultiWellUnsupported,
     NoClassicalRegion,
     NoEffectiveMass,

@@ -114,11 +114,6 @@ def parse_config(path) -> RunConfig:
         box=box if box is not None else "auto",
         n_states=int(fgh_raw.get("n_states", max(states) + 1)),
     )
-    # the compare pipeline solves for at least max(states) + 1 levels
-    levels = max(fgh_cfg.n_states, max(states) + 1)
-    if fgh_cfg.n_points < 2 * levels + 1:
-        raise ConfigError(f"fgh.n_points = {fgh_cfg.n_points} is too small for {levels} "
-                          f"states: at least {2 * levels + 1} are needed")
 
     outputs = raw.get("outputs", {}) or {}
     formats = outputs.get("formats", ["csv", "json"])

@@ -59,3 +59,7 @@ class GridMismatch(SemiboundError):
 
 class ConfigError(SemiboundError):
     """Run configuration failed to parse or validate."""
+
+
+class GridTooSmall(ConfigError, ValueError):
+    """FGH grid has fewer than 2 * n_states + 1 points."""

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .classical import Provenance, SampledDensity
-from .errors import EigensolverFailure, OddGridRequired
+from .errors import EigensolverFailure, GridTooSmall, OddGridRequired
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints
 
@@ -93,8 +93,9 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
     if config.n_points % 2 == 0:
         raise OddGridRequired(f"n_points must be odd, got {config.n_points}")
     if config.n_points < 2 * config.n_states + 1:
-        raise ValueError(
-            f"n_points = {config.n_points} too small for {config.n_states} states")
+        raise GridTooSmall(f"fgh.n_points = {config.n_points} is too small for "
+                           f"{config.n_states} states: at least "
+                           f"{2 * config.n_states + 1} are needed")
     if config.box == "auto" or config.box is None:
         box = auto_box(problem, config.n_states)
     else:

@@ -257,14 +257,33 @@ def test_exit_code_2_on_too_small_grid(tmp_path, capsys, pipeline):
     assert "fgh.n_points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("states,points,ok", [
-    ("[0]", 13, True), ("[0]", 11, False), ("[7]", 17, True), ("[7]", 15, False)])
-def test_grid_size_counts_requested_states(tmp_path, states, points, ok):
-    # n_states = 6, or max(states) + 1 when that is larger
-    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", states)
+@pytest.mark.parametrize("pipeline,points,rc", [
+    ("fgh", 13, 0), ("fgh", 11, 2), ("compare", 17, 0), ("compare", 15, 2)])
+def test_grid_size_counts_solved_states(tmp_path, pipeline, points, rc):
+    # fgh solves n_states = 6 and drops state 7; compare widens to 8 states
+    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0, 7]")
                         .replace("POINTS", str(points)))
-    if ok:
-        assert parse_config(path).fgh.n_points == points
-    else:
-        with pytest.raises(ConfigError, match="too small"):
-            parse_config(path)
+    assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                 "--out", str(tmp_path / "x")]) == rc
+
+
+HIGH_STATES_YAML = """
+problem:
+  kinetic: {kind: nonrelativistic, m: 1.0}
+  potential: {kind: harmonic, mass: 1.0, omega: 1.0}
+states: STATES
+outputs: {grid_points: 33}
+"""
+
+
+@pytest.mark.parametrize("pipeline", ["classical", "wkbj"])
+def test_high_states_need_no_fgh_grid(tmp_path, pipeline):
+    # the default 513-point grid holds 256 FGH states; these routes build none
+    wide = write_config(tmp_path, HIGH_STATES_YAML.replace("STATES", "{range: [0, 300]}"))
+    assert parse_config(wide).fgh.n_states == 301
+    assert main(["validate", "--config", str(wide)]) == 0
+    path = write_config(tmp_path, HIGH_STATES_YAML.replace("STATES", "[300]"))
+    assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                 "--out", str(tmp_path / "x")]) == 0
+    summary = (tmp_path / "x" / "summary.csv").read_text().splitlines()
+    assert summary[1].startswith("300,")
