@@ -36,6 +36,7 @@ from .errors import (
     MultiWellUnsupported,
     NoClassicalRegion,
     NoEffectiveMass,
+    NoStatesRequested,
     NotConfining,
     OddGridRequired,
     OutsideClassicalRegion,

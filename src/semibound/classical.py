@@ -63,13 +63,23 @@ def default_grid(tps: TurningPoints, n_points: int = DEFAULT_GRID_POINTS) -> np.
     return np.linspace(tps.a - GRID_MARGIN * tps.d, tps.b + GRID_MARGIN * tps.d, n_points)
 
 
-def speed_field(problem: BoundStateProblem, E: float) -> callable:
-    """|v(x)| = T'(T^-1(E - V(x))) for x inside the classical region (vectorized)."""
+def momentum_field(problem: BoundStateProblem, E: float) -> callable:
+    """p(x) = T^-1(E - V(x)), clamped to p = 0 outside the classical region (vectorized)."""
     law, V = problem.kinetic, problem.potential.eval
 
-    def speed(x):
+    def momentum(x):
         y = np.maximum(np.asarray(E - V(x), dtype=float), law.rest_energy)
-        return np.abs(np.asarray(law.deriv(law.inverse(y)), dtype=float))
+        return np.asarray(law.inverse(y), dtype=float)
+
+    return momentum
+
+
+def speed_field(problem: BoundStateProblem, E: float) -> callable:
+    """|v(x)| = T'(p(x)) for x inside the classical region (vectorized)."""
+    deriv, momentum = problem.kinetic.deriv, momentum_field(problem, E)
+
+    def speed(x):
+        return np.abs(np.asarray(deriv(momentum(x)), dtype=float))
 
     return speed
 

@@ -3,9 +3,9 @@
     semibound solve --config run.yaml --pipeline compare [--out DIR]
     semibound validate --config run.yaml
 
-Exit codes: 0 success, 1 solver error, 2 config parse/validation error
-(including an FGH grid too small for the requested states), 3 kinetic-law
-admissibility failure.
+Exit codes of both commands: 0 success, 1 solver error, 2 config
+parse/validation error (including an FGH grid with no states or too few points
+for them), 3 kinetic law that cannot be built or fails admissibility.
 """
 
 from __future__ import annotations
@@ -155,11 +155,15 @@ def build_problem(config: RunConfig) -> kinetics.BoundStateProblem:
     return kinetics.BoundStateProblem(kinetic=law, potential=pot, hbar=config.hbar)
 
 
-def validate(config: RunConfig) -> kinetics.ValidationReport:
-    """Admissibility checks for the configured kinetic law (never writes files)."""
-    law = _build(config.kinetic_kind, config.kinetic_params, KINETIC_KINDS)
+def _admissibility(law: kinetics.KineticLaw, config: RunConfig) -> kinetics.ValidationReport:
     samples = np.linspace(-config.p_max, config.p_max, config.n_samples)
     return kinetics.validate_admissibility(law, samples)
+
+
+def validate(config: RunConfig) -> kinetics.ValidationReport:
+    """Admissibility checks for the configured kinetic law (never writes files)."""
+    return _admissibility(_build(config.kinetic_kind, config.kinetic_params, KINETIC_KINDS),
+                          config)
 
 
 def _states_doc(config: RunConfig, rows: list) -> dict:
@@ -225,8 +229,7 @@ def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got '{pipeline}'")
     problem = build_problem(config)
-    admissibility = kinetics.validate_admissibility(
-        problem.kinetic, np.linspace(-config.p_max, config.p_max, config.n_samples))
+    admissibility = _admissibility(problem.kinetic, config)
     if not admissibility.all_passed:
         raise LawValidationFailure(admissibility)
     header, runner = _PIPELINES[pipeline]
@@ -260,11 +263,14 @@ def main(argv=None) -> int:
     if args.command == "validate":
         try:
             report = validate(config)
-        except (ValueError, ConfigError) as exc:
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
             print(f"kinetic law construction failed: {exc}")
-            return 0
+            return 3
         print(report.summary())
-        return 0
+        return 0 if report.all_passed else 3
 
     try:
         written = run_solve(config, args.pipeline, args.out)

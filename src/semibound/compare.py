@@ -17,10 +17,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import Provenance, SampledDensity, classical_density
+from .classical import Provenance, SampledDensity, classical_density, momentum_field
 from .errors import GridMismatch, StateRangeMismatch, WindowTooWide
 from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
+from .potentials import turning_points
 from .wkbj import WkbjState, quantize, wkbj_wavefunction
 
 #: fraction of d excluded at each turning point by the interior sup-norm
@@ -49,7 +50,6 @@ class StateComparison:
 class DensityMetrics:
     n: int
     l1_classical_vs_fgh_averaged: float
-    l1_classical_vs_wkbj_averaged: float
     sup_interior_classical_vs_fgh_averaged: float
 
 
@@ -146,29 +146,22 @@ def local_average(density: SampledDensity, window: Union[float, str] = "auto") -
 
 
 def debroglie_average(problem: BoundStateProblem, energy: float,
-                      density: SampledDensity,
-                      support=None,
-                      max_window_fraction: float = MAX_WINDOW_FRACTION) -> SampledDensity:
+                      density: SampledDensity) -> SampledDensity:
     """Moving average matched to the local density-oscillation period.
 
     The squared WKBJ wavefunction oscillates with spatial period
     pi*hbar / T^-1(E - V(x)); averaging over exactly that window removes the
     oscillation everywhere it is resolved. The width is capped at
-    max_window_fraction * d (also used outside the classical region, where
+    MAX_WINDOW_FRACTION * d (also used outside the classical region, where
     no period is defined).
     """
-    from .potentials import turning_points
-
-    tps = support or density.support or turning_points(problem, energy)
+    tps = density.support or turning_points(problem, energy)
     dx = _uniform_spacing(density.grid)
-    law, V = problem.kinetic, problem.potential.eval
 
-    w_max = max_window_fraction * tps.d
+    w_max = MAX_WINDOW_FRACTION * tps.d
     widths = np.full(len(density.grid), w_max)
     inside = (density.grid > tps.a) & (density.grid < tps.b)
-    y = np.maximum(np.asarray(energy - V(density.grid[inside]), dtype=float),
-                   law.rest_energy)
-    p = np.asarray(law.inverse(y), dtype=float)
+    p = momentum_field(problem, energy)(density.grid[inside])
     with np.errstate(divide="ignore"):
         widths[inside] = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300), w_max)
     half = (widths / (2.0 * dx)).astype(int)
@@ -236,14 +229,11 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
                               tps=state.turning_points),
             n=state.n)
         rho_wkbj = wkbj_wavefunction(problem, state, grid=spectrum.grid)
-        # the averaged WKBJ density is the classical one (criterion 6)
-        rho_wkbj_avg = replace(rho_cl, provenance=Provenance.WKBJ_AVERAGED)
         e_fgh = spectrum.states[state.n].energy
         rho_fgh_avg = debroglie_average(problem, e_fgh, rho_fgh)
         metrics.append(DensityMetrics(
             n=state.n,
             l1_classical_vs_fgh_averaged=density_distance(rho_cl, rho_fgh_avg, "L1"),
-            l1_classical_vs_wkbj_averaged=density_distance(rho_cl, rho_wkbj_avg, "L1"),
             sup_interior_classical_vs_fgh_averaged=density_distance(
                 rho_cl, rho_fgh_avg, "sup_interior"),
         ))

@@ -63,3 +63,7 @@ class ConfigError(SemiboundError):
 
 class GridTooSmall(ConfigError, ValueError):
     """FGH grid has fewer than 2 * n_states + 1 points."""
+
+
+class NoStatesRequested(ConfigError, ValueError):
+    """FGH configuration asks for fewer than one state."""

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .classical import Provenance, SampledDensity
-from .errors import EigensolverFailure, GridTooSmall, OddGridRequired
+from .errors import EigensolverFailure, GridTooSmall, NoStatesRequested, OddGridRequired
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints
 
@@ -92,6 +92,8 @@ def _grid(box: Tuple[float, float], n_points: int,
 def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
     if config.n_points % 2 == 0:
         raise OddGridRequired(f"n_points must be odd, got {config.n_points}")
+    if config.n_states < 1:
+        raise NoStatesRequested(f"fgh.n_states must be >= 1, got {config.n_states}")
     if config.n_points < 2 * config.n_states + 1:
         raise GridTooSmall(f"fgh.n_points = {config.n_points} is too small for "
                            f"{config.n_states} states: at least "

@@ -22,9 +22,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .classical import (Provenance, SampledDensity, classical_density, default_grid,
-                        speed_field, well_layout)
+                        momentum_field, speed_field, well_layout)
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
-from .kinetics import BoundStateProblem, Smoothness
+from .kinetics import BoundStateProblem
 from .potentials import TurningPoints, binding_energy, turning_points
 from .quadrature import well_integral, well_integral_pair
 
@@ -54,17 +54,6 @@ class WkbjState:
         return float("inf") if self.n == 0 else 1.0 / (np.pi * self.n)
 
 
-def _reduced_inverse(problem: BoundStateProblem) -> Callable:
-    """t^-1(E_B - V(x)) as a function of x, equal to T^-1(E - V(x))."""
-    law, V = problem.kinetic, problem.potential.eval
-
-    def g(x, E):
-        y = np.maximum(np.asarray(E - V(x), dtype=float), law.rest_energy)
-        return np.asarray(law.inverse(y), dtype=float)
-
-    return g
-
-
 def action_integral(problem: BoundStateProblem, E: float,
                     tps: Optional[TurningPoints] = None, *,
                     with_slope: bool = False):
@@ -75,17 +64,17 @@ def action_integral(problem: BoundStateProblem, E: float,
     A's own nodes. It is an estimate for root finding, not a period.
     """
     tps = tps or turning_points(problem, E)
-    g = _reduced_inverse(problem)
+    momentum = momentum_field(problem, E)
     layout = well_layout(problem)
     if not with_slope:
-        return well_integral(lambda x: g(x, E), tps.a, tps.b, **layout)
+        return well_integral(momentum, tps.a, tps.b, **layout)
     speed = speed_field(problem, E)
 
     def inverse_speed(x):
         with np.errstate(divide="ignore"):
             return 1.0 / speed(x)
 
-    return well_integral_pair(lambda x: g(x, E), inverse_speed, tps.a, tps.b, **layout)
+    return well_integral_pair(momentum, inverse_speed, tps.a, tps.b, **layout)
 
 
 def semiclassical_alpha(problem: BoundStateProblem, state: "WkbjState",
@@ -211,53 +200,39 @@ def quantize(problem: BoundStateProblem, n: int,
                      alpha=alpha, action_residual=float(abs(best.action - target)))
 
 
+def _half_well_phase(momentum: Callable, tp: float, x0: float, sqrt: bool) -> Callable:
+    """x -> integral of p between the turning point tp and x, for x on tp's side of x0.
+
+    Accumulated by a cubic spline in u = |x - tp|^(1/k) with k = 2 where the
+    layout sqrt-substitutes tp (p vanishes like sqrt there and the integrand
+    k*u^(k-1)*p is smooth in u) and k = 1 otherwise.
+    """
+    k, to_u = (2, np.sqrt) if sqrt else (1, np.asarray)
+    inward = 1.0 if x0 > tp else -1.0
+    u = np.linspace(0.0, to_u(abs(x0 - tp)), PHASE_SAMPLES)
+    h = CubicSpline(u, k * u ** (k - 1) * momentum(tp + inward * u ** k)).antiderivative()
+    return lambda x: h(to_u(np.maximum(inward * (x - tp), 0.0)))
+
+
 def _phase_spline(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:
     """Phi(x) = integral from x to b of T^-1(E - V(y)) dy, cubically interpolated.
 
-    For smooth laws the integrand vanishes like sqrt at the turning points, so
-    each half-well is accumulated in the substituted variable u = sqrt(|x - TP|)
-    where it is smooth; the two antiderivatives are stitched at the potential
-    minimum. Non-smooth laws are accumulated directly in x on each side of the
-    minimum (their integrand is regular at the turning points).
+    The well is cut at the `well_layout` split; each half is accumulated
+    from its own turning point and the two are stitched at the split.
     """
-    g = _reduced_inverse(problem)
+    momentum, layout = momentum_field(problem, E), well_layout(problem)
     a, b = tps.a, tps.b
-    x0 = min(max(problem.potential.minimum_location, a + 1e-12 * tps.d), b - 1e-12 * tps.d)
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
-
-    if smooth:
-        u_r = np.sqrt(b - x0)
-        ur = np.linspace(0.0, u_r, PHASE_SAMPLES)
-        h_r = CubicSpline(ur, 2.0 * ur * g(b - ur * ur, E)).antiderivative()
-        u_l = np.sqrt(x0 - a)
-        ul = np.linspace(0.0, u_l, PHASE_SAMPLES)
-        h_l = CubicSpline(ul, 2.0 * ul * g(a + ul * ul, E)).antiderivative()
-        phi_mid = float(h_r(u_r))
-        left_total = float(h_l(u_l))
-
-        def phi(x):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.empty_like(x)
-            right = x >= x0
-            out[right] = h_r(np.sqrt(np.maximum(b - x[right], 0.0)))
-            out[~right] = phi_mid + left_total - h_l(np.sqrt(np.maximum(x[~right] - a, 0.0)))
-            return out
-
-        return phi
-
-    xr = np.linspace(x0, b, PHASE_SAMPLES)
-    G_r = CubicSpline(xr, g(xr, E)).antiderivative()
-    xl = np.linspace(a, x0, PHASE_SAMPLES)
-    G_l = CubicSpline(xl, g(xl, E)).antiderivative()
-    phi_mid = float(G_r(b) - G_r(x0))
-    left_total = float(G_l(x0) - G_l(a))
+    x0 = min(max(layout["splits"][0], a + 1e-12 * tps.d), b - 1e-12 * tps.d)
+    right = _half_well_phase(momentum, b, x0, layout["sqrt_right"])
+    left = _half_well_phase(momentum, a, x0, layout["sqrt_left"])
+    total = float(right(x0)) + float(left(x0))
 
     def phi(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty_like(x)
-        right = x >= x0
-        out[right] = float(G_r(b)) - G_r(np.clip(x[right], x0, b))
-        out[~right] = phi_mid + left_total - (G_l(np.clip(x[~right], a, x0)) - float(G_l(a)))
+        on_right = x >= x0
+        out[on_right] = right(x[on_right])
+        out[~on_right] = total - left(x[~on_right])
         return out
 
     return phi
@@ -276,17 +251,18 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
         with np.errstate(divide="ignore"):
             return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
 
-    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, **well_layout(problem))
+    layout = well_layout(problem)
+    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, **layout)
     D = 1.0 / np.sqrt(norm)
 
     grid = np.asarray(grid, dtype=float)
     psi = np.zeros_like(grid)
     inside = (grid >= tps.a) & (grid <= tps.b)
     psi[inside] = D * raw_psi(grid[inside])
-    if problem.kinetic.smoothness is Smoothness.SMOOTH:
-        on_tp = inside & ((np.abs(grid - tps.a) < TP_EXCLUSION * tps.d)
-                          | (np.abs(grid - tps.b) < TP_EXCLUSION * tps.d))
-        psi[on_tp] = np.inf
+    # psi diverges at a turning point exactly where the layout sqrt-substitutes it
+    for tp, divergent in ((tps.a, layout["sqrt_left"]), (tps.b, layout["sqrt_right"])):
+        if divergent:
+            psi[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
     return psi
 
 

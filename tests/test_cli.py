@@ -1,13 +1,16 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semibound.classical
+import semibound.kinetics
 import semibound.wkbj
 from semibound.cli import main, parse_config, run_solve, validate
 from semibound.errors import ConfigError, QuadratureNotConverged
+from semibound.kinetics import ConditionCheck
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH_A = REPO / "configs" / "benchmark_a.yaml"
@@ -198,12 +201,10 @@ SCHEMA = {
              {"states": ["a", "action_residual", "alpha", "b", "energy", "n"]}),
     "fgh": ("n,energy_fgh", "x,rho_fgh", {"states": ["energy", "n"]}),
     "compare": ("n,energy_fgh,energy_wkbj,relative_error,alpha,"
-                "l1_classical_vs_fgh_averaged,l1_classical_vs_wkbj_averaged,"
-                "sup_interior_classical_vs_fgh_averaged",
+                "l1_classical_vs_fgh_averaged,sup_interior_classical_vs_fgh_averaged",
                 "x,rho_cl,rho_wkbj,rho_fgh",
                 {"per_state": ["alpha", "energy_fgh", "energy_wkbj", "n", "relative_error"],
-                 "density_metrics": ["l1_classical_vs_fgh_averaged",
-                                     "l1_classical_vs_wkbj_averaged", "n",
+                 "density_metrics": ["l1_classical_vs_fgh_averaged", "n",
                                      "sup_interior_classical_vs_fgh_averaged"]}),
 }
 
@@ -287,3 +288,45 @@ def test_high_states_need_no_fgh_grid(tmp_path, pipeline):
                  "--out", str(tmp_path / "x")]) == 0
     summary = (tmp_path / "x" / "summary.csv").read_text().splitlines()
     assert summary[1].startswith("300,")
+
+
+def test_exit_code_2_on_no_fgh_states(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0]")
+                        .replace("POINTS", "65").replace("n_states: 6", "n_states: 0"))
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "fgh.n_states" in capsys.readouterr().err
+
+
+BAD_MASS_YAML = """
+problem:
+  kinetic: {kind: relativistic, m: -1.0}
+  potential: {kind: linear, lambda: 0.2}
+states: [0]
+"""
+
+
+def test_validate_exits_3_when_law_cannot_be_built(tmp_path, capsys):
+    path = write_config(tmp_path, BAD_MASS_YAML)
+    assert main(["validate", "--config", str(path)]) == 3
+    assert "kinetic law construction failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--pipeline", "wkbj"]])
+def test_failed_admissibility_check_exits_3(tmp_path, monkeypatch, command):
+    samples = []
+    original = semibound.kinetics.validate_admissibility
+
+    def failing(law, p_samples):
+        samples.append(p_samples)
+        report = original(law, p_samples)
+        return replace(report, checks=report.checks + (ConditionCheck("injected", False),))
+
+    monkeypatch.setattr(semibound.kinetics, "validate_admissibility", failing)
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    assert main([*command, "--config", str(path), *(["--out", str(tmp_path / "x")]
+                                                   if command[0] == "solve" else [])]) == 3
+    cfg = parse_config(path)
+    assert len(samples) == 1
+    np.testing.assert_array_equal(samples[0], np.linspace(-cfg.p_max, cfg.p_max, cfg.n_samples))
+    assert not (tmp_path / "x").exists()

@@ -207,5 +207,4 @@ def test_json_report_structure(tmp_path, benchmark_a):
     assert set(doc["per_state"][0]) == {
         "n", "energy_fgh", "energy_wkbj", "relative_error", "alpha"}
     assert set(doc["density_metrics"][0]) == {
-        "n", "l1_classical_vs_fgh_averaged", "l1_classical_vs_wkbj_averaged",
-        "sup_interior_classical_vs_fgh_averaged"}
+        "n", "l1_classical_vs_fgh_averaged", "sup_interior_classical_vs_fgh_averaged"}

@@ -292,3 +292,28 @@ def test_phase_boundary_value(benchmark_a):
     tps = state.turning_points
     x = np.array([tps.b - 1e-5 * tps.d])
     assert wavefunction_values(benchmark_a, state, x)[0] > 0
+
+
+@pytest.mark.parametrize("n", [0, 5, 15, 63])
+def test_phase_massless_linear_closed_form(benchmark_b, n):
+    # p(x) = lam*(b - |x|) with b = E/lam: Phi(x) = lam*(b - x)^2/2 for x >= 0
+    # and A - lam*(x - a)^2/2 for x <= 0, with A = lam*b^2 = E^2/lam
+    lam = 0.2
+    state = quantize(benchmark_b, n)
+    tps, E = state.turning_points, state.energy
+    b = E / lam
+    x = np.linspace(tps.a, tps.b, 4001)
+    exact = np.where(x >= 0.0, 0.5 * lam * (b - x) ** 2, lam * b * b - 0.5 * lam * (x + b) ** 2)
+    phi = semibound.wkbj._phase_spline(benchmark_b, E, tps)(x)
+    assert np.max(np.abs(phi - exact)) <= 1e-12 * (E * E / lam)
+
+
+@pytest.mark.parametrize("case", ["benchmark_a", "benchmark_b", "oscillator"])
+@pytest.mark.parametrize("n", [0, 5, 15])
+def test_phase_ends_at_action_and_zero(request, case, n):
+    problem = request.getfixturevalue(case)
+    state = quantize(problem, n)
+    tps = state.turning_points
+    phi = semibound.wkbj._phase_spline(problem, state.energy, tps)([tps.a, tps.b])
+    assert phi[0] == pytest.approx(action_integral(problem, state.energy, tps), rel=1e-12)
+    assert phi[1] == 0.0
