@@ -33,6 +33,7 @@ from .errors import (
     EnergyCeilingExceeded,
     GridMismatch,
     GridTooSmall,
+    InadmissibleLaw,
     MultiWellUnsupported,
     NoClassicalRegion,
     NoEffectiveMass,

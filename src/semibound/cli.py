@@ -3,15 +3,16 @@
     semibound solve --config run.yaml --pipeline compare [--out DIR]
     semibound validate --config run.yaml
 
-Exit codes of both commands: 0 success, 1 solver error, 2 config
-parse/validation error (including an FGH grid with no states or too few points
-for them), 3 kinetic law that cannot be built or fails admissibility.
+Exit codes are the `exit_code` of the error type raised: 0 success, 1 solver error,
+2 config error (malformed or out-of-range values, bad potential parameters, an FGH box
+or grid that cannot hold the states), 3 kinetic law that cannot be built or is inadmissible.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -20,16 +21,7 @@ import numpy as np
 import yaml
 
 from . import classical, compare, fgh, kinetics, potentials, wkbj
-from .errors import ConfigError, SemiboundError
-
-
-
-class LawValidationFailure(SemiboundError):
-    """Configured kinetic law failed the admissibility checks."""
-
-    def __init__(self, report: "kinetics.ValidationReport"):
-        super().__init__(report.summary())
-        self.report = report
+from .errors import ConfigError, InadmissibleLaw, SemiboundError
 
 KINETIC_KINDS = {
     "nonrelativistic": (kinetics.nonrelativistic, ("m",)),
@@ -69,8 +61,30 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+@contextmanager
+def _raise_as(error: type, prefix: str = ""):
+    """Re-raise a TypeError or ValueError from the block as `error`, prefixing its message."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise error(f"{prefix}{exc}") from exc
+
+
+def _law_params(problem: dict, key: str, registry: dict) -> tuple:
+    """(kind, float parameters) of problem[key]; unknown kinds and parameters are config errors."""
+    section = _require(problem, key, "problem")
+    kind = _require(section, "kind", f"problem.{key}")
+    if kind not in registry:
+        raise ConfigError(f"problem.{key}.kind '{kind}' not one of {sorted(registry)}")
+    params = {k: float(v) for k, v in section.items() if k != "kind"}
+    unknown = set(params) - set(registry[kind][1])
+    if unknown:
+        raise ConfigError(f"unknown parameters {sorted(unknown)} for kind '{kind}'")
+    return kind, params
+
+
 def parse_config(path) -> RunConfig:
-    """Load and structurally validate a YAML run configuration."""
+    """Load and validate a YAML run configuration; any bad value raises ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -82,88 +96,97 @@ def parse_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
 
-    problem = _require(raw, "problem", "")
-    kin = _require(problem, "kinetic", "problem")
-    pot = _require(problem, "potential", "problem")
-    kin_kind = _require(kin, "kind", "problem.kinetic")
-    pot_kind = _require(pot, "kind", "problem.potential")
-    if kin_kind not in KINETIC_KINDS:
-        raise ConfigError(f"problem.kinetic.kind '{kin_kind}' not one of {sorted(KINETIC_KINDS)}")
-    if pot_kind not in POTENTIAL_KINDS:
-        raise ConfigError(f"problem.potential.kind '{pot_kind}' not one of {sorted(POTENTIAL_KINDS)}")
+    with _raise_as(ConfigError):
+        problem = _require(raw, "problem", "")
+        kin_kind, kinetic_params = _law_params(problem, "kinetic", KINETIC_KINDS)
+        pot_kind, potential_params = _law_params(problem, "potential", POTENTIAL_KINDS)
+        hbar = float(problem.get("hbar", 1.0))
+        if not 0 < hbar < np.inf:
+            raise ConfigError(f"problem.hbar must be positive and finite, got {hbar}")
 
-    states_raw = _require(raw, "states", "")
-    if isinstance(states_raw, dict) and "range" in states_raw:
-        lo, hi = states_raw["range"]
-        states = list(range(int(lo), int(hi) + 1))
-    elif isinstance(states_raw, list):
-        states = [int(n) for n in states_raw]
-    else:
-        raise ConfigError("states must be a list of integers or {range: [lo, hi]}")
-    if not states or any(n < 0 for n in states):
-        raise ConfigError("states must be non-empty with all n >= 0")
+        states_raw = _require(raw, "states", "")
+        if isinstance(states_raw, dict) and "range" in states_raw:
+            lo, hi = states_raw["range"]
+            states = list(range(int(lo), int(hi) + 1))
+        elif isinstance(states_raw, list):
+            states = [int(n) for n in states_raw]
+        else:
+            raise ConfigError("states must be a list of integers or {range: [lo, hi]}")
+        if not states or any(n < 0 for n in states):
+            raise ConfigError("states must be non-empty with all n >= 0")
 
-    fgh_raw = raw.get("fgh", {}) or {}
-    box = fgh_raw.get("box", "auto")
-    if box != "auto" and box is not None:
-        if not (isinstance(box, (list, tuple)) and len(box) == 2):
-            raise ConfigError("fgh.box must be 'auto' or [x_min, x_max]")
-        box = (float(box[0]), float(box[1]))
-    fgh_cfg = fgh.FghConfig(
-        n_points=int(fgh_raw.get("n_points", 513)),
-        box=box if box is not None else "auto",
-        n_states=int(fgh_raw.get("n_states", max(states) + 1)),
-    )
+        fgh_raw = dict(raw.get("fgh") or {})
+        box = fgh_raw.get("box", "auto")
+        if box != "auto" and box is not None:
+            if not (isinstance(box, (list, tuple)) and len(box) == 2):
+                raise ConfigError("fgh.box must be 'auto' or [x_min, x_max]")
+            box = (float(box[0]), float(box[1]))
+        fgh_cfg = fgh.FghConfig(
+            n_points=int(fgh_raw.get("n_points", 513)),
+            box=box if box is not None else "auto",
+            n_states=int(fgh_raw.get("n_states", max(states) + 1)),
+        )
 
-    outputs = raw.get("outputs", {}) or {}
-    formats = outputs.get("formats", ["csv", "json"])
-    if not set(formats) <= {"csv", "json"}:
-        raise ConfigError(f"outputs.formats must be a subset of [csv, json], got {formats}")
+        outputs = dict(raw.get("outputs") or {})
+        formats = list(outputs.get("formats", ["csv", "json"]))
+        if not set(formats) <= {"csv", "json"}:
+            raise ConfigError(f"outputs.formats must be a subset of [csv, json], got {formats}")
+        grid_points = int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS))
+        if grid_points < 3:  # the fewest that put a sample inside the padded well
+            raise ConfigError(f"outputs.grid_points must be >= 3, got {grid_points}")
 
-    validation = raw.get("validation", {}) or {}
+        validation = dict(raw.get("validation") or {})
+        p_max = float(validation.get("p_max", 5.0))
+        n_samples = int(validation.get("n_samples", 2048))
+        if not 0 < p_max < np.inf or n_samples < 4:  # condition C needs 2 positive samples
+            raise ConfigError(f"validation needs a finite p_max > 0 and n_samples >= 4, "
+                              f"got {p_max} and {n_samples}")
 
-    return RunConfig(
-        kinetic_kind=kin_kind,
-        kinetic_params={k: v for k, v in kin.items() if k != "kind"},
-        potential_kind=pot_kind,
-        potential_params={k: v for k, v in pot.items() if k != "kind"},
-        hbar=float(problem.get("hbar", 1.0)),
-        states=states,
-        fgh=fgh_cfg,
-        out_dir=str(outputs.get("directory", "out")),
-        formats=list(formats),
-        grid_points=int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS)),
-        p_max=float(validation.get("p_max", 5.0)),
-        n_samples=int(validation.get("n_samples", 2048)),
-        echo=raw,
-    )
+        return RunConfig(
+            kinetic_kind=kin_kind,
+            kinetic_params=kinetic_params,
+            potential_kind=pot_kind,
+            potential_params=potential_params,
+            hbar=hbar,
+            states=states,
+            fgh=fgh_cfg,
+            out_dir=str(outputs.get("directory", "out")),
+            formats=formats,
+            grid_points=grid_points,
+            p_max=p_max,
+            n_samples=n_samples,
+            echo=raw,
+        )
 
 
 def _build(kind: str, params: dict, registry: dict):
-    builder, allowed = registry[kind]
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown parameters {sorted(unknown)} for kind '{kind}'")
-    kwargs = {_PARAM_RENAME.get(k, k): float(v) for k, v in params.items()}
-    return builder(**kwargs)
+    return registry[kind][0](**{_PARAM_RENAME.get(k, k): v for k, v in params.items()})
+
+
+def _law(config: RunConfig) -> kinetics.KineticLaw:
+    with _raise_as(InadmissibleLaw, "kinetic law construction failed: "):
+        return _build(config.kinetic_kind, config.kinetic_params, KINETIC_KINDS)
 
 
 def build_problem(config: RunConfig) -> kinetics.BoundStateProblem:
-    """Instantiate the physical system; parameter errors raise ValueError."""
-    law = _build(config.kinetic_kind, config.kinetic_params, KINETIC_KINDS)
-    pot = _build(config.potential_kind, config.potential_params, POTENTIAL_KINDS)
-    return kinetics.BoundStateProblem(kinetic=law, potential=pot, hbar=config.hbar)
+    """The physical system: an unbuildable law is InadmissibleLaw, a potential ConfigError."""
+    law = _law(config)
+    with _raise_as(ConfigError, "problem: "):
+        pot = _build(config.potential_kind, config.potential_params, POTENTIAL_KINDS)
+        return kinetics.BoundStateProblem(kinetic=law, potential=pot, hbar=config.hbar)
 
 
 def _admissibility(law: kinetics.KineticLaw, config: RunConfig) -> kinetics.ValidationReport:
     samples = np.linspace(-config.p_max, config.p_max, config.n_samples)
-    return kinetics.validate_admissibility(law, samples)
+    report = kinetics.validate_admissibility(law, samples)
+    if not report.all_passed:
+        raise InadmissibleLaw(report.summary())
+    return report
 
 
 def validate(config: RunConfig) -> kinetics.ValidationReport:
-    """Admissibility checks for the configured kinetic law (never writes files)."""
-    return _admissibility(_build(config.kinetic_kind, config.kinetic_params, KINETIC_KINDS),
-                          config)
+    """Admissibility report of the configured kinetic law; InadmissibleLaw if it fails."""
+    return _admissibility(_law(config), config)
 
 
 def _states_doc(config: RunConfig, rows: list) -> dict:
@@ -229,9 +252,7 @@ def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got '{pipeline}'")
     problem = build_problem(config)
-    admissibility = _admissibility(problem.kinetic, config)
-    if not admissibility.all_passed:
-        raise LawValidationFailure(admissibility)
+    _admissibility(problem.kinetic, config)
     header, runner = _PIPELINES[pipeline]
     rows, densities, doc = runner(problem, config, sorted(set(config.states)))
     return compare.write_outputs(header, rows, doc, densities, config.formats,
@@ -253,39 +274,19 @@ def main(argv=None) -> int:
     p_val.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
-
     try:
         config = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        try:
-            report = validate(config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
-            print(f"kinetic law construction failed: {exc}")
-            return 3
-        print(report.summary())
-        return 0 if report.all_passed else 3
-
-    try:
+        if args.command == "validate":
+            print(validate(config).summary())
+            return 0
         written = run_solve(config, args.pipeline, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except LawValidationFailure as exc:
-        print(exc.report.summary(), file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 3
     except SemiboundError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        verdict = isinstance(exc, InadmissibleLaw)
+        label = "config error" if isinstance(exc, ConfigError) else type(exc).__name__
+        # `validate` reports the law verdict on stdout, failing or not; all else is stderr
+        print(exc if verdict else f"{label}: {exc}",
+              file=sys.stdout if verdict and args.command == "validate" else sys.stderr)
+        return exc.exit_code
     for path in written:
         print(path)
     return 0

@@ -2,7 +2,9 @@
 
 
 class SemiboundError(Exception):
-    """Base class for all solver errors."""
+    """Base class for all solver errors; `exit_code` is the CLI's exit status for each."""
+
+    exit_code = 1
 
 
 class NoEffectiveMass(SemiboundError):
@@ -59,6 +61,14 @@ class GridMismatch(SemiboundError):
 
 class ConfigError(SemiboundError):
     """Run configuration failed to parse or validate."""
+
+    exit_code = 2
+
+
+class InadmissibleLaw(SemiboundError):
+    """Kinetic law cannot be built or fails the admissibility checks (conditions A-D)."""
+
+    exit_code = 3
 
 
 class GridTooSmall(ConfigError, ValueError):

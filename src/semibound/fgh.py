@@ -24,7 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from .classical import Provenance, SampledDensity
-from .errors import EigensolverFailure, GridTooSmall, NoStatesRequested, OddGridRequired
+from .errors import (ConfigError, EigensolverFailure, GridTooSmall, NoStatesRequested,
+                     OddGridRequired)
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints
 
@@ -102,6 +103,8 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         box = auto_box(problem, config.n_states)
     else:
         box = tuple(config.box)
+        if not -np.inf < box[0] < box[1] < np.inf:
+            raise ConfigError(f"fgh.box needs finite x_min < x_max, got {list(box)}")
     return _grid(box, config.n_points, anchor=problem.potential.minimum_location)
 
 

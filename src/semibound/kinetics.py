@@ -243,65 +243,49 @@ def validate_admissibility(law: KineticLaw, p_samples: np.ndarray) -> Validation
     if p.size == 0:
         raise ValueError("p_samples must be non-empty")
     T = np.asarray(law.eval(p), dtype=float)
-    scale = max(1.0, float(np.nanmax(np.abs(T))) if np.any(np.isfinite(T)) else 1.0)
-    tol = 1e-9 * scale
-    checks = []
-
-    finite = bool(np.all(np.isfinite(T)))
-    if not finite:
-        bad = p[~np.isfinite(T)][0]
-        checks.append(ConditionCheck("values finite", False, float("nan"), float(bad)))
-    else:
-        checks.append(ConditionCheck("values finite", True))
+    names = ("values finite", "A: non-negativity", "B: evenness", "C: monotonicity", "D: class C2")
+    if not np.all(np.isfinite(T)):
+        bad = float(p[~np.isfinite(T)][0])
+        return ValidationReport(law.name, tuple(
+            ConditionCheck(name, False, float("nan"), bad if name == names[0] else None)
+            for name in names), law.smoothness)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(T))))
+    checks = [ConditionCheck(names[0], True)]
 
     # A: T(p) >= 0
-    if finite:
-        i = int(np.argmin(T))
-        checks.append(ConditionCheck(
-            "A: non-negativity", bool(T[i] >= -tol), min(float(T[i]), 0.0), float(p[i])))
-    else:
-        checks.append(ConditionCheck("A: non-negativity", False, float("nan")))
+    i = int(np.argmin(T))
+    checks.append(ConditionCheck(
+        names[1], bool(T[i] >= -tol), min(float(T[i]), 0.0), float(p[i])))
 
     # B: T(p) = T(-p)
-    if finite:
-        diff = np.abs(np.asarray(law.eval(-p)) - T)
-        i = int(np.argmax(diff))
-        checks.append(ConditionCheck(
-            "B: evenness", bool(diff[i] <= tol), float(diff[i]), float(p[i])))
-    else:
-        checks.append(ConditionCheck("B: evenness", False, float("nan")))
+    diff = np.abs(np.asarray(law.eval(-p)) - T)
+    i = int(np.argmax(diff))
+    checks.append(ConditionCheck(names[2], bool(diff[i] <= tol), float(diff[i]), float(p[i])))
 
     # C: strictly increasing in |p| (checked on the positive half)
-    if finite:
-        pos = p[p > 0]
-        Tp = np.asarray(law.eval(pos), dtype=float)
-        if pos.size >= 2:
-            d = np.diff(Tp)
-            i = int(np.argmin(d))
-            checks.append(ConditionCheck(
-                "C: monotonicity", bool(d[i] > -tol), min(float(d[i]), 0.0), float(pos[i])))
-        else:
-            checks.append(ConditionCheck("C: monotonicity", True, note="fewer than 2 positive samples"))
+    pos = p[p > 0]
+    if pos.size >= 2:
+        d = np.diff(np.asarray(law.eval(pos), dtype=float))
+        i = int(np.argmin(d))
+        checks.append(ConditionCheck(
+            names[3], bool(d[i] > -tol), min(float(d[i]), 0.0), float(pos[i])))
     else:
-        checks.append(ConditionCheck("C: monotonicity", False, float("nan")))
+        checks.append(ConditionCheck(names[3], True, note="fewer than 2 positive samples"))
 
     # D: class C^2 on the sampled grid
     non_smooth = law.smoothness is Smoothness.NON_SMOOTH_AT_ZERO
-    if finite:
-        q = p[np.abs(p) > 1e-3] if non_smooth else p
-        d2 = np.asarray(law.deriv2(q), dtype=float)
-        ok = bool(np.all(np.isfinite(d2)))
-        loc = None if ok else float(q[~np.isfinite(d2)][0])
-        note = "continuity at p=0 skipped (non-smooth law)" if non_smooth else ""
-        if ok and not non_smooth:
-            h = float(np.min(np.abs(p[p > 0]))) if np.any(p > 0) else 1e-6
-            jump = abs(float(law.deriv2(h)) - float(law.deriv2(-h)))
-            d2scale = max(1.0, abs(float(law.deriv2(0.0))))
-            ok = jump <= 1e-6 * d2scale
-            if not ok:
-                loc, note = 0.0, f"T'' jump {jump:.3e} across p=0"
-        checks.append(ConditionCheck("D: class C2", ok, 0.0, loc, note))
-    else:
-        checks.append(ConditionCheck("D: class C2", False, float("nan")))
+    q = p[np.abs(p) > 1e-3] if non_smooth else p
+    d2 = np.asarray(law.deriv2(q), dtype=float)
+    ok = bool(np.all(np.isfinite(d2)))
+    loc = None if ok else float(q[~np.isfinite(d2)][0])
+    note = "continuity at p=0 skipped (non-smooth law)" if non_smooth else ""
+    if ok and not non_smooth:
+        h = float(np.min(np.abs(p[p > 0]))) if np.any(p > 0) else 1e-6
+        jump = abs(float(law.deriv2(h)) - float(law.deriv2(-h)))
+        d2scale = max(1.0, abs(float(law.deriv2(0.0))))
+        ok = jump <= 1e-6 * d2scale
+        if not ok:
+            loc, note = 0.0, f"T'' jump {jump:.3e} across p=0"
+    checks.append(ConditionCheck(names[4], ok, 0.0, loc, note))
 
     return ValidationReport(law.name, tuple(checks), law.smoothness)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import semibound.classical
 import semibound.kinetics
@@ -330,3 +331,84 @@ def test_failed_admissibility_check_exits_3(tmp_path, monkeypatch, command):
     assert len(samples) == 1
     np.testing.assert_array_equal(samples[0], np.linspace(-cfg.p_max, cfg.p_max, cfg.n_samples))
     assert not (tmp_path / "x").exists()
+
+
+MALFORMED_BASE = {
+    "problem": {"kinetic": {"kind": "nonrelativistic", "m": 1.0},
+                "potential": {"kind": "harmonic", "mass": 1.0, "omega": 1.0}},
+    "states": [0],
+    "fgh": {"n_points": 65},
+}
+
+# (dotted field, value, exit code of validate, exit code of solve --pipeline fgh, message part)
+MALFORMED = {
+    "states-range-one-bound": ("states", {"range": [0]}, 2, 2, "unpack"),
+    "states-text": ("states", ["zero"], 2, 2, "'zero'"),
+    "n_points-text": ("fgh.n_points", "many", 2, 2, "'many'"),
+    "box-text": ("fgh.box", ["a", "b"], 2, 2, "'a'"),
+    "fgh-not-mapping": ("fgh", 5, 2, 2, "int"),
+    "hbar-text": ("problem.hbar", "abc", 2, 2, "'abc'"),
+    "hbar-zero": ("problem.hbar", 0, 2, 2, "problem.hbar"),
+    "hbar-infinite": ("problem.hbar", float("inf"), 2, 2, "problem.hbar"),
+    "mass-text": ("problem.kinetic.m", "abc", 2, 2, "'abc'"),
+    "slope-negative": ("problem.potential", {"kind": "linear", "lambda": -0.2}, 0, 2, "slope"),
+    "no-samples": ("validation.n_samples", 0, 2, 2, "n_samples >= 4"),
+    "three-samples": ("validation.n_samples", 3, 2, 2, "n_samples >= 4"),
+    "four-samples": ("validation.n_samples", 4, 0, 0, None),
+    "p_max-zero": ("validation.p_max", 0, 2, 2, "p_max > 0"),
+    "p_max-infinite": ("validation.p_max", float("inf"), 2, 2, "p_max > 0"),
+    "no-grid-points": ("outputs.grid_points", 0, 2, 2, "outputs.grid_points"),
+    "three-grid-points": ("outputs.grid_points", 3, 0, 0, None),
+    "box-reversed": ("fgh.box", [3, -3], 0, 2, "fgh.box"),
+    "box-empty": ("fgh.box", [-3, -3], 0, 2, "fgh.box"),
+    "box-unbounded": ("fgh.box", [float("-inf"), 3], 0, 2, "fgh.box"),
+    "mass-negative": ("problem.kinetic", {"kind": "relativistic", "m": -1.0}, 3, 3,
+                      "kinetic law construction failed"),
+}
+
+
+def malformed_config(tmp_path, field, value):
+    doc = json.loads(json.dumps(MALFORMED_BASE))
+    *parents, key = field.split(".")
+    section = doc
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[key] = value
+    return write_config(tmp_path, yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exit_code_and_stream(tmp_path, capsys, case, command):
+    field, value, validate_rc, solve_rc, part = MALFORMED[case]
+    path = str(malformed_config(tmp_path, field, value))
+    argv = (["validate", "--config", path] if command == "validate" else
+            ["solve", "--config", path, "--pipeline", "fgh", "--out", str(tmp_path / "x")])
+    rc = validate_rc if command == "validate" else solve_rc
+    assert main(argv) == rc
+    out, err = capsys.readouterr()
+    if rc == 0:
+        assert out and not err
+        return
+    # validate reports its law verdict on stdout; every other message goes to stderr
+    message, silent = (out, err) if rc == 3 and command == "validate" else (err, out)
+    assert not silent
+    assert message.startswith("config error: " if rc == 2 else "kinetic law construction")
+    assert part in message
+
+
+@pytest.mark.parametrize("pipeline,rc", [("classical", 0), ("wkbj", 0), ("compare", 2)])
+def test_reversed_box_refused_only_where_a_grid_is_built(tmp_path, pipeline, rc):
+    path = malformed_config(tmp_path, "fgh.box", [3, -3])
+    assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                 "--out", str(tmp_path / "x")]) == rc
+
+
+def test_value_error_inside_solver_propagates(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("defect inside the quantizer")
+
+    monkeypatch.setattr(semibound.wkbj, "quantize", broken)
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    with pytest.raises(ValueError, match="defect inside the quantizer"):
+        main(["solve", "--config", str(path), "--pipeline", "wkbj", "--out", str(tmp_path / "x")])

@@ -7,6 +7,7 @@ from scipy.special import airy
 
 from semibound import (
     BoundStateProblem,
+    ConfigError,
     FghConfig,
     OddGridRequired,
     auto_box,
@@ -96,6 +97,12 @@ def test_even_grid_rejected(benchmark_a):
 def test_too_few_points_rejected(benchmark_a):
     with pytest.raises(ValueError):
         solve(benchmark_a, FghConfig(n_points=21, box=(-20, 20), n_states=11))
+
+
+@pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0)])
+def test_box_without_width_is_a_config_error(oscillator, box):
+    with pytest.raises(ConfigError, match="fgh.box"):
+        solve(oscillator, FghConfig(n_points=65, box=box, n_states=2))
 
 
 def test_config_is_frozen():

@@ -151,3 +151,17 @@ def test_inverse_clamps_small_negative_round_off():
     assert float(law.inverse(0.2 - 1e-13)) == 0.0
     with pytest.raises(ValueError):
         law.inverse(0.1)
+
+
+def test_validation_reports_non_finite_values():
+    law = from_callable("capped", lambda p: np.where(np.abs(p) > 4.0, np.inf, 0.5 * p * p))
+    report = validate_admissibility(law, GRID)
+    names = ["values finite", "A: non-negativity", "B: evenness", "C: monotonicity",
+             "D: class C2"]
+    assert [c.condition for c in report.checks] == names
+    assert not any(c.passed for c in report.checks)
+    assert all(np.isnan(c.worst_violation) for c in report.checks)
+    assert [c.worst_location for c in report.checks] == [-5.0, None, None, None, None]
+    assert report.summary() == "\n".join(
+        ["kinetic law 'capped' (smooth):", "  [FAIL] values finite worst=nan at p=-5.0"]
+        + [f"  [FAIL] {name} worst=nan at p=None" for name in names[1:]])
