@@ -13,7 +13,6 @@ from .classical import (
     SampledDensity,
     classical_density,
     period,
-    speed_at,
 )
 from .compare import (
     ComparisonReport,
@@ -40,7 +39,6 @@ from .errors import (
     NoStatesRequested,
     NotConfining,
     OddGridRequired,
-    OutsideClassicalRegion,
     QuadratureNotConverged,
     SemiboundError,
     StateRangeMismatch,

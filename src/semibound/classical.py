@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutsideClassicalRegion
 from .kinetics import BoundStateProblem, Smoothness
 from .potentials import TurningPoints, turning_points
 from .quadrature import well_integral
@@ -51,8 +50,8 @@ class SampledDensity:
     def integral(self) -> float:
         """Trapezoid integral of the finite samples over the normalization domain.
 
-        Exact only away from singular endpoints; producers normalize via
-        proper quadrature of the underlying integrand, not via this method.
+        Exact only away from singular endpoints, so the producers of rho_cl and
+        rho_WKBJ normalize by quadrature instead; `compare` renormalizes with it.
         """
         lo, hi = self.normalization_domain
         mask = (self.grid >= lo) & (self.grid <= hi) & np.isfinite(self.values)
@@ -82,15 +81,6 @@ def speed_field(problem: BoundStateProblem, E: float) -> callable:
         return np.abs(np.asarray(deriv(momentum(x)), dtype=float))
 
     return speed
-
-
-def speed_at(problem: BoundStateProblem, E: float, x: float,
-             tps: Optional[TurningPoints] = None) -> float:
-    """Speed modulus at one position; zero exactly at the turning points."""
-    tps = tps or turning_points(problem, E)
-    if not (tps.a <= x <= tps.b):
-        raise OutsideClassicalRegion(f"x={x} outside [{tps.a}, {tps.b}]")
-    return float(speed_field(problem, E)(x))
 
 
 def well_layout(problem: BoundStateProblem) -> dict:

@@ -4,8 +4,9 @@
     semibound validate --config run.yaml
 
 Exit codes are the `exit_code` of the error type raised: 0 success, 1 solver error,
-2 config error (malformed or out-of-range values, bad potential parameters, an FGH box
-or grid that cannot hold the states), 3 kinetic law that cannot be built or is inadmissible.
+2 config error (malformed or out-of-range values, bad potential parameters, an even FGH
+grid or an FGH box or grid that cannot hold the states), 3 kinetic law that cannot be built
+or is inadmissible.
 """
 
 from __future__ import annotations

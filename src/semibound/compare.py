@@ -11,6 +11,7 @@ track the oscillation period growing toward the turning points.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -59,12 +60,6 @@ class ComparisonReport:
     density_metrics: tuple = ()
     config_echo: dict = field(default_factory=dict)
 
-    def errors_decrease(self, ns: Sequence[int] = (0, 5, 15)) -> bool:
-        """True when the relative eigenvalue error strictly decreases along ns."""
-        by_n = {row.n: row.relative_error for row in self.per_state}
-        errs = [by_n[n] for n in ns if n in by_n]
-        return all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-
 
 def compare_spectra(fgh_spectrum: Spectrum, wkbj_states: Iterable[WkbjState],
                     config_echo: Optional[dict] = None) -> ComparisonReport:
@@ -110,17 +105,7 @@ def _masked_boxcar(values: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
 
 
 def _renormalized(density: SampledDensity, values: np.ndarray) -> SampledDensity:
-    lo, hi = density.normalization_domain
-    mask = (density.grid >= lo) & (density.grid <= hi) & np.isfinite(values)
-    total = np.trapezoid(values[mask], density.grid[mask])
-    return SampledDensity(
-        grid=density.grid,
-        values=values / total,
-        support=density.support,
-        provenance=density.provenance,
-        normalization_domain=density.normalization_domain,
-        n=density.n,
-    )
+    return replace(density, values=values / replace(density, values=values).integral())
 
 
 def local_average(density: SampledDensity, window: Union[float, str] = "auto") -> SampledDensity:
@@ -243,11 +228,9 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
 
 
 def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and not np.isfinite(x)):
-        return "null"
     if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+        return f"{x:.17g}" if math.isfinite(x) else "null"
+    return "null" if x is None else str(x)
 
 
 def _jsonable(obj):
@@ -277,13 +260,11 @@ def write_density_tables(densities: Sequence[SampledDensity],
         by_state.setdefault(rho.n, []).append(rho)
     for n in sorted(k for k in by_state if k is not None):
         group = by_state[n]
-        grid = group[0].grid
-        cols = [(_COLUMN_FOR[rho.provenance], rho.values) for rho in group]
-        rows = [",".join(["x"] + [name for name, _ in cols])]
-        for i in range(len(grid)):
-            rows.append(",".join([_fmt(float(grid[i]))]
-                                 + [_fmt(float(v[i])) for _, v in cols]))
-        written.append(_write_lines(out / f"density_n{n:03d}.csv", rows))
+        header = ",".join(["x"] + [_COLUMN_FOR[rho.provenance] for rho in group])
+        columns = [group[0].grid] + [rho.values for rho in group]
+        cells = [list(map(_fmt, column.tolist())) for column in columns]
+        written.append(_write_lines(out / f"density_n{n:03d}.csv",
+                                    [header] + [",".join(row) for row in zip(*cells)]))
     return written
 
 

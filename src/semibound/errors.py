@@ -23,10 +23,6 @@ class MultiWellUnsupported(SemiboundError):
     """More than two turning points detected; only single wells are supported."""
 
 
-class OutsideClassicalRegion(SemiboundError):
-    """Position query outside the turning points."""
-
-
 class EnergyCeilingExceeded(SemiboundError):
     """Quantization bracket search exceeded the configured energy ceiling."""
 
@@ -37,10 +33,6 @@ class QuadratureNotConverged(SemiboundError):
 
 class DegenerateAlpha(SemiboundError):
     """Semiclassical parameter undefined: inverse kinetic momentum is zero."""
-
-
-class OddGridRequired(SemiboundError):
-    """Fourier grid needs an odd number of points for a symmetric momentum set."""
 
 
 class EigensolverFailure(SemiboundError):
@@ -69,6 +61,10 @@ class InadmissibleLaw(SemiboundError):
     """Kinetic law cannot be built or fails the admissibility checks (conditions A-D)."""
 
     exit_code = 3
+
+
+class OddGridRequired(ConfigError, ValueError):
+    """Fourier grid needs an odd number of points for a symmetric momentum set."""
 
 
 class GridTooSmall(ConfigError, ValueError):

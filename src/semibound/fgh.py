@@ -55,7 +55,6 @@ class Spectrum:
 
     states: tuple
     grid: np.ndarray
-    provenance: str = "fgh"
 
     @property
     def energies(self) -> np.ndarray:
@@ -71,8 +70,6 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     """Box from the turning points of the highest requested WKBJ state."""
     from .wkbj import quantize
 
-    if n_states < 1:
-        raise ValueError(f"n_states must be >= 1, got {n_states}")
     return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
@@ -92,7 +89,7 @@ def _grid(box: Tuple[float, float], n_points: int,
 
 def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
     if config.n_points % 2 == 0:
-        raise OddGridRequired(f"n_points must be odd, got {config.n_points}")
+        raise OddGridRequired(f"fgh.n_points must be odd, got {config.n_points}")
     if config.n_states < 1:
         raise NoStatesRequested(f"fgh.n_states must be >= 1, got {config.n_states}")
     if config.n_points < 2 * config.n_states + 1:

@@ -80,8 +80,8 @@ def _clamped_inverse(raw: Callable, rest: float) -> Callable:
 
 def nonrelativistic(m: float = 1.0) -> KineticLaw:
     """T(p) = p^2 / (2m)."""
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m}")
     return KineticLaw(
         name="nonrelativistic",
         eval=lambda p: np.asarray(p) ** 2 / (2.0 * m),
@@ -95,8 +95,8 @@ def nonrelativistic(m: float = 1.0) -> KineticLaw:
 
 def relativistic(m: float) -> KineticLaw:
     """T(p) = sqrt(p^2 + m^2), rest energy m."""
-    if not m > 0:
-        raise ValueError(f"mass must be positive, got {m}")
+    if not 0 < m < np.inf:
+        raise ValueError(f"mass must be positive and finite, got {m}")
     return KineticLaw(
         name="relativistic",
         eval=lambda p: np.sqrt(np.asarray(p) ** 2 + m * m),

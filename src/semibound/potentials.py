@@ -18,6 +18,9 @@ from .errors import MultiWellUnsupported, NoClassicalRegion, NotConfining, Semib
 if TYPE_CHECKING:
     from .kinetics import BoundStateProblem
 
+#: half-width of the interval around 0 searched for the minimum of an opaque V(x)
+SEARCH_WIDTH = 100.0
+
 
 @dataclass(frozen=True)
 class PotentialLaw:
@@ -27,7 +30,6 @@ class PotentialLaw:
     eval: Callable
     minimum_location: float
     minimum_value: float
-    symmetric: bool
     params: dict = field(default_factory=dict)
 
 
@@ -47,42 +49,39 @@ class TurningPoints:
 
 def linear(lam: float) -> PotentialLaw:
     """V(x) = lam * |x|."""
-    if not lam > 0:
-        raise ValueError(f"slope must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"slope must be positive and finite, got {lam}")
     return PotentialLaw(
         name="linear",
         eval=lambda x: lam * np.abs(np.asarray(x, dtype=float)),
         minimum_location=0.0,
         minimum_value=0.0,
-        symmetric=True,
         params={"lambda": lam},
     )
 
 
 def harmonic(mass: float = 1.0, omega: float = 1.0) -> PotentialLaw:
     """V(x) = (1/2) * mass * omega^2 * x^2."""
-    if not (mass > 0 and omega > 0):
-        raise ValueError(f"mass and omega must be positive, got {mass}, {omega}")
+    if not (0 < mass < np.inf and 0 < omega < np.inf):
+        raise ValueError(f"mass and omega must be positive and finite, got {mass}, {omega}")
     return PotentialLaw(
         name="harmonic",
         eval=lambda x: 0.5 * mass * omega**2 * np.asarray(x, dtype=float) ** 2,
         minimum_location=0.0,
         minimum_value=0.0,
-        symmetric=True,
         params={"mass": mass, "omega": omega},
     )
 
 
 def power(c: float, q: float) -> PotentialLaw:
     """V(x) = c * |x|^q with q >= 1."""
-    if not (c > 0 and q >= 1):
-        raise ValueError(f"need c > 0 and q >= 1, got c={c}, q={q}")
+    if not (0 < c < np.inf and 1 <= q < np.inf):
+        raise ValueError(f"need finite c > 0 and q >= 1, got c={c}, q={q}")
     return PotentialLaw(
         name="power",
         eval=lambda x: c * np.abs(np.asarray(x, dtype=float)) ** q,
         minimum_location=0.0,
         minimum_value=0.0,
-        symmetric=True,
         params={"c": c, "q": q},
     )
 
@@ -91,14 +90,12 @@ def from_callable(
     name: str,
     eval: Callable,
     minimum_location: Optional[float] = None,
-    symmetric: bool = False,
-    search_width: float = 100.0,
     params: Optional[dict] = None,
 ) -> PotentialLaw:
     """Wrap an opaque V(x); the minimum is located numerically when not given."""
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:
-        res = minimize_scalar(lambda x: float(fn(x)), bounds=(-search_width, search_width),
+        res = minimize_scalar(lambda x: float(fn(x)), bounds=(-SEARCH_WIDTH, SEARCH_WIDTH),
                               method="bounded", options={"xatol": 1e-12})
         minimum_location = float(res.x)
     return PotentialLaw(
@@ -106,7 +103,6 @@ def from_callable(
         eval=fn,
         minimum_location=float(minimum_location),
         minimum_value=float(fn(minimum_location)),
-        symmetric=symmetric,
         params=params or {},
     )
 

@@ -112,14 +112,13 @@ def _pieces(a: float, b: float, splits: Sequence[float],
 
 def well_integral(f: Callable, a: float, b: float,
                   splits: Sequence[float] = (),
-                  sqrt_left: bool = True, sqrt_right: bool = True,
-                  rel_tol: float = REL_TOL) -> float:
+                  sqrt_left: bool = True, sqrt_right: bool = True) -> float:
     """Integrate f over (a, b) with endpoint substitutions and interior splits.
 
     splits: interior break points (points of reduced smoothness, such as a
     potential kink); values outside (a, b) are ignored.
     """
-    return sum(adaptive_gauss(sub(f), lo, hi, rel_tol)
+    return sum(adaptive_gauss(sub(f), lo, hi)
                for lo, hi, sub in _pieces(a, b, splits, sqrt_left, sqrt_right))
 
 

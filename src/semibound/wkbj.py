@@ -48,11 +48,6 @@ class WkbjState:
     alpha: float
     action_residual: float
 
-    @property
-    def alpha_large_n(self) -> float:
-        """Large-n estimate 1/(pi*n) of the semiclassical parameter (diagnostic)."""
-        return float("inf") if self.n == 0 else 1.0 / (np.pi * self.n)
-
 
 def action_integral(problem: BoundStateProblem, E: float,
                     tps: Optional[TurningPoints] = None, *,

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from semibound import (
     BoundStateProblem,
-    OutsideClassicalRegion,
     Provenance,
     classical_density,
     harmonic,
@@ -13,35 +12,31 @@ from semibound import (
     nonrelativistic,
     period,
     relativistic,
-    speed_at,
     turning_points,
 )
+from semibound.classical import speed_field
 from semibound.kinetics import from_callable as kinetic_from_callable
 
 
 def test_speed_massless_is_unity_inside(benchmark_b):
     tps = turning_points(benchmark_b, 1.0)
     for x in np.linspace(tps.a + 1e-6, tps.b - 1e-6, 7):
-        assert speed_at(benchmark_b, 1.0, x) == pytest.approx(1.0, abs=1e-14)
+        assert float(speed_field(benchmark_b, 1.0)(x)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_speed_vanishes_at_turning_points(benchmark_a, benchmark_b, oscillator):
     for prob, E in ((benchmark_a, 1.2), (benchmark_b, 1.0), (oscillator, 2.0)):
         tps = turning_points(prob, E)
-        assert speed_at(prob, E, tps.a) == pytest.approx(0.0, abs=1e-6)
-        assert speed_at(prob, E, tps.b) == pytest.approx(0.0, abs=1e-6)
+        speed = speed_field(prob, E)
+        assert float(speed(tps.a)) == pytest.approx(0.0, abs=1e-6)
+        assert float(speed(tps.b)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_speed_relativistic_closed_form(benchmark_a):
     # E = 1.2 at x = 0: p = sqrt(1.2^2 - 0.2^2), v = p / 1.2
     p = np.sqrt(1.2**2 - 0.2**2)
-    assert speed_at(benchmark_a, 1.2, 0.0) == pytest.approx(p / 1.2, rel=1e-12)
+    assert float(speed_field(benchmark_a, 1.2)(0.0)) == pytest.approx(p / 1.2, rel=1e-12)
     assert p / 1.2 == pytest.approx(0.98601329718326, rel=1e-10)
-
-
-def test_speed_outside_region_raises(benchmark_b):
-    with pytest.raises(OutsideClassicalRegion):
-        speed_at(benchmark_b, 1.0, 5.0001)
 
 
 def test_period_massless_linear(benchmark_b):

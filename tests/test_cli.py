@@ -148,8 +148,8 @@ states: [0]
     assert main(["solve", "--config", str(path), "--pipeline", "wkbj"]) == 3
 
 
-def test_exit_code_1_on_solver_error(tmp_path):
-    # even n_points triggers OddGridRequired inside the fgh pipeline
+def test_exit_code_2_on_even_grid(tmp_path):
+    # an even n_points is a config value the fgh grid cannot use: OddGridRequired
     path = write_config(tmp_path, """
 problem:
   kinetic: {kind: nonrelativistic, m: 1.0}
@@ -158,7 +158,7 @@ states: [0]
 fgh: {n_points: 256, n_states: 2}
 """)
     assert main(["solve", "--config", str(path), "--pipeline", "fgh",
-                 "--out", str(tmp_path / "x")]) == 1
+                 "--out", str(tmp_path / "x")]) == 2
 
 
 def test_exit_code_1_on_quadrature_budget(tmp_path, monkeypatch, capsys):
@@ -364,6 +364,19 @@ MALFORMED = {
     "box-unbounded": ("fgh.box", [float("-inf"), 3], 0, 2, "fgh.box"),
     "mass-negative": ("problem.kinetic", {"kind": "relativistic", "m": -1.0}, 3, 3,
                       "kinetic law construction failed"),
+    "mass-infinite": ("problem.kinetic.m", float("inf"), 3, 3, "positive and finite"),
+    "relativistic-mass-infinite": ("problem.kinetic", {"kind": "relativistic", "m": float("inf")},
+                                   3, 3, "positive and finite"),
+    "slope-infinite": ("problem.potential", {"kind": "linear", "lambda": float("inf")}, 0, 2,
+                       "positive and finite"),
+    "potential-mass-infinite": ("problem.potential.mass", float("inf"), 0, 2,
+                                "positive and finite"),
+    "omega-infinite": ("problem.potential.omega", float("inf"), 0, 2, "positive and finite"),
+    "power-c-infinite": ("problem.potential", {"kind": "power", "c": float("inf"), "q": 2.0},
+                         0, 2, "finite c"),
+    "power-q-infinite": ("problem.potential", {"kind": "power", "c": 1.0, "q": float("inf")},
+                         0, 2, "finite c"),
+    "n_points-even": ("fgh.n_points", 256, 0, 2, "fgh.n_points must be odd"),
 }
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from semibound import (
     wkbj_averaged_density,
     wkbj_wavefunction,
 )
+from semibound.compare import write_density_tables, write_outputs
 from semibound.potentials import TurningPoints
 
 
@@ -131,7 +134,6 @@ def test_compare_spectra_range_mismatch(benchmark_a):
 
 def test_report_ordering_and_errors(benchmark_a):
     report, densities = build_report(benchmark_a, [0, 5, 15], FghConfig())
-    assert report.errors_decrease()
     by_n = {r.n: r for r in report.per_state}
     assert 0.03 < by_n[0].relative_error < 0.3
     assert 3e-4 < by_n[5].relative_error < 3e-3
@@ -193,6 +195,33 @@ def test_export_empty_densities_summary_only(tmp_path, benchmark_a):
     report, _ = build_report(benchmark_a, [0], FghConfig(n_points=257))
     paths = export(report, [], ["csv", "json"], tmp_path)
     assert sorted(p.name for p in paths) == ["report.json", "summary.csv"]
+
+
+def test_density_table_text_is_pinned(tmp_path):
+    values = np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, np.inf, -np.inf, np.nan])
+    grid = np.linspace(-1.5, 1.5, len(values))
+    rho_cl = SampledDensity(grid=grid, values=values, support=None,
+                            provenance=Provenance.CLASSICAL, normalization_domain=(-1.5, 1.5),
+                            n=2)
+    rho_fgh = replace(rho_cl, values=values[::-1], provenance=Provenance.FGH)
+    (path,) = write_density_tables([rho_cl, rho_fgh], tmp_path)
+    assert path.name == "density_n002.csv"
+    assert path.read_text(encoding="utf-8") == (
+        "x,rho_cl,rho_fgh\n"
+        "-1.5,0.10000000000000001,null\n"
+        "-1,-0,null\n"
+        "-0.5,1e-300,null\n"
+        "0,0.66666666666666663,0.66666666666666663\n"
+        "0.5,null,1e-300\n"
+        "1,null,-0\n"
+        "1.5,null,0.10000000000000001\n")
+
+
+def test_summary_text_is_pinned(tmp_path):
+    rows = [{"n": 3, "energy": 2.0 / 3.0, "alpha": None}]
+    (path,) = write_outputs(("n", "energy", "alpha"), rows, {}, [], ["csv"], tmp_path)
+    assert path.name == "summary.csv"
+    assert path.read_text(encoding="utf-8") == "n,energy,alpha\n3,0.66666666666666663,null\n"
 
 
 def test_json_report_structure(tmp_path, benchmark_a):

@@ -73,7 +73,7 @@ def test_zero_kinetic_gives_diagonal_potential():
 
 def test_zero_potential_eigenvalues_are_kinetic_samples():
     flat = potential_from_callable("flat", lambda x: 0.0 * np.asarray(x),
-                                   minimum_location=0.0, symmetric=True)
+                                   minimum_location=0.0)
     prob = BoundStateProblem(relativistic(0.2), flat)
     N = 33
     cfg = FghConfig(n_points=N, box=(-8.0, 8.0), n_states=N // 2)

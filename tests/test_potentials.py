@@ -95,7 +95,7 @@ def test_no_classical_region_below_minimum():
 def test_multi_well_rejected():
     double = potential_from_callable(
         "double_well", lambda x: (np.asarray(x) ** 2 - 1.0) ** 2,
-        minimum_location=1.0, symmetric=True)
+        minimum_location=1.0)
     prob = BoundStateProblem(nonrelativistic(1.0), double)
     with pytest.raises(MultiWellUnsupported):
         turning_points(prob, 0.5)  # below the barrier: four roots of V = E_B

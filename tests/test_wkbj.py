@@ -117,7 +117,7 @@ def test_quantize_rest_energy_invariance():
 def test_energy_ceiling_for_saturating_potential():
     plateau = potential_from_callable(
         "plateau", lambda x: 1.0 - 1.0 / (1.0 + np.asarray(x) ** 2),
-        minimum_location=0.0, symmetric=True)
+        minimum_location=0.0)
     prob = BoundStateProblem(nonrelativistic(1.0), plateau)
     with pytest.raises(EnergyCeilingExceeded):
         quantize(prob, 40, energy_ceiling=50.0)
@@ -208,11 +208,6 @@ def test_alpha_order_of_magnitude(benchmark_a, benchmark_b, oscillator):
             state = quantize(prob, n)
             assert state.alpha > 0
             assert 0.2 < state.alpha * np.pi * n < 1.25
-
-
-def test_alpha_large_n_diagnostic(benchmark_b):
-    state = quantize(benchmark_b, 8)
-    assert state.alpha_large_n == pytest.approx(1.0 / (np.pi * 8), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 15])
