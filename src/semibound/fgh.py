@@ -136,6 +136,7 @@ def build_hamiltonian(problem: BoundStateProblem, config: FghConfig,
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
+    Only those eigenpairs are computed (resolve_grid guarantees N > n_states).
     Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over
     the whole grid) with the first non-negligible component positive.
     """
@@ -143,8 +144,8 @@ def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     dx = grid[1] - grid[0]
     H = build_hamiltonian(problem, config, grid)
     try:
-        energies, vectors = scipy.linalg.eigh(H)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+        energies, vectors = scipy.linalg.eigh(H, subset_by_index=[0, config.n_states - 1])
+    except scipy.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
 
     states = []

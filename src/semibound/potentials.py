@@ -62,11 +62,14 @@ def linear(lam: float) -> PotentialLaw:
 
 def harmonic(mass: float = 1.0, omega: float = 1.0) -> PotentialLaw:
     """V(x) = (1/2) * mass * omega^2 * x^2."""
-    if not (0 < mass < np.inf and 0 < omega < np.inf):
-        raise ValueError(f"mass and omega must be positive and finite, got {mass}, {omega}")
+    # float products overflow to inf and underflow to 0 without raising
+    k = 0.5 * mass * (omega * omega)
+    if not (0 < mass < np.inf and 0 < omega < np.inf and 0 < k < np.inf):
+        raise ValueError(f"mass and omega must be positive and finite with "
+                         f"0 < 0.5*mass*omega^2 < inf, got {mass}, {omega}")
     return PotentialLaw(
         name="harmonic",
-        eval=lambda x: 0.5 * mass * omega**2 * np.asarray(x, dtype=float) ** 2,
+        eval=lambda x: k * np.asarray(x, dtype=float) ** 2,
         minimum_location=0.0,
         minimum_value=0.0,
         params={"mass": mass, "omega": omega},

@@ -377,6 +377,11 @@ MALFORMED = {
     "power-q-infinite": ("problem.potential", {"kind": "power", "c": 1.0, "q": float("inf")},
                          0, 2, "finite c"),
     "n_points-even": ("fgh.n_points", 256, 0, 2, "fgh.n_points must be odd"),
+    "omega-squared-overflows": ("problem.potential.omega", 1.0e200, 0, 2, "0.5*mass*omega^2"),
+    "omega-squared-underflows": ("problem.potential.omega", 1.0e-200, 0, 2, "0.5*mass*omega^2"),
+    "harmonic-coefficient-overflows": ("problem.potential",
+                                       {"kind": "harmonic", "mass": 1.0e200, "omega": 1.0e100},
+                                       0, 2, "0.5*mass*omega^2"),
 }
 
 

@@ -1,13 +1,17 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 from scipy.special import airy
 
+import semibound.fgh
 from semibound import (
     BoundStateProblem,
     ConfigError,
+    EigensolverFailure,
     FghConfig,
     OddGridRequired,
     auto_box,
@@ -19,6 +23,7 @@ from semibound import (
     relativistic,
     solve,
 )
+from semibound.cli import main
 from semibound.fgh import resolve_grid
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
@@ -138,6 +143,34 @@ def test_orthonormality(benchmark_a):
     psi = np.column_stack([s.wavefunction for s in spectrum.states])
     gram = dx * psi.T @ psi
     assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
+
+
+@pytest.mark.parametrize("n_points,n_states", [(513, 16), (9, 4)])
+def test_partial_solve_matches_full_diagonalisation(benchmark_a, n_points, n_states):
+    # (9, 4) is the smallest grid resolve_grid accepts: N = 2 * n_states + 1
+    cfg = FghConfig(n_points=n_points, n_states=n_states)
+    spectrum = solve(benchmark_a, cfg)
+    energies, vectors = np.linalg.eigh(build_hamiltonian(benchmark_a, cfg))
+    assert np.allclose(spectrum.energies, energies[:n_states], rtol=1e-12, atol=0)
+    dx = spectrum.grid[1] - spectrum.grid[0]
+    psi = np.column_stack([s.wavefunction for s in spectrum.states])
+    assert np.max(np.abs(np.abs(psi) * np.sqrt(dx) - np.abs(vectors[:, :n_states]))) <= 1e-10
+    for state in spectrum.states:
+        big = np.abs(state.wavefunction) > 1e-6 * np.abs(state.wavefunction).max()
+        assert state.wavefunction[np.argmax(big)] > 0
+
+
+def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(semibound.fgh.scipy.linalg, "eigh", broken)
+    with pytest.raises(EigensolverFailure, match="no convergence"):
+        solve(benchmark_a, FghConfig(n_points=65, n_states=4))
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
+    assert main(["solve", "--config", str(config), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "dense eigensolver failed" in capsys.readouterr().err
 
 
 def test_parity_alternates(benchmark_a):
