@@ -78,7 +78,6 @@ from .wkbj import (
     WkbjState,
     action_integral,
     quantize,
-    semiclassical_alpha,
     wkbj_averaged_density,
     wkbj_wavefunction,
 )

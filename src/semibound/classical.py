@@ -44,16 +44,18 @@ class SampledDensity:
     values: np.ndarray
     support: Optional[TurningPoints]
     provenance: Provenance
-    normalization_domain: tuple
     n: Optional[int] = None
 
     def integral(self) -> float:
-        """Trapezoid integral of the finite samples over the normalization domain.
+        """Trapezoid integral of the finite samples over the support, or the whole grid.
 
-        Exact only away from singular endpoints, so the producers of rho_cl and
-        rho_WKBJ normalize by quadrature instead; `compare` renormalizes with it.
+        The domain is (support.a, support.b), or the grid ends when `support`
+        is None. Exact only away from singular endpoints, so the producers of
+        rho_cl and rho_WKBJ normalize by quadrature instead; `compare`
+        renormalizes with it.
         """
-        lo, hi = self.normalization_domain
+        lo, hi = ((self.support.a, self.support.b) if self.support is not None
+                  else (self.grid[0], self.grid[-1]))
         mask = (self.grid >= lo) & (self.grid <= hi) & np.isfinite(self.values)
         return float(np.trapezoid(self.values[mask], self.grid[mask]))
 
@@ -89,9 +91,8 @@ def well_layout(problem: BoundStateProblem) -> dict:
     The region is split at the potential minimum; for smooth kinetic laws
     both turning points are sqrt-substituted.
     """
-    smooth = problem.kinetic.smoothness is Smoothness.SMOOTH
     return dict(splits=(problem.potential.minimum_location,),
-                sqrt_left=smooth, sqrt_right=smooth)
+                sqrt_ends=problem.kinetic.smoothness is Smoothness.SMOOTH)
 
 
 def period(problem: BoundStateProblem, E: float,
@@ -129,5 +130,4 @@ def classical_density(problem: BoundStateProblem, E: float,
         values=values,
         support=tps,
         provenance=Provenance.CLASSICAL,
-        normalization_domain=(tps.a, tps.b),
     )

@@ -62,6 +62,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _int(value, where: str) -> int:
+    """A YAML integer that is not a bool; anything else is a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 @contextmanager
 def _raise_as(error: type, prefix: str = ""):
     """Re-raise a TypeError or ValueError from the block as `error`, prefixing its message."""
@@ -108,37 +115,38 @@ def parse_config(path) -> RunConfig:
         states_raw = _require(raw, "states", "")
         if isinstance(states_raw, dict) and "range" in states_raw:
             lo, hi = states_raw["range"]
-            states = list(range(int(lo), int(hi) + 1))
+            states = list(range(_int(lo, "states.range"), _int(hi, "states.range") + 1))
         elif isinstance(states_raw, list):
-            states = [int(n) for n in states_raw]
+            states = [_int(n, "states") for n in states_raw]
         else:
             raise ConfigError("states must be a list of integers or {range: [lo, hi]}")
         if not states or any(n < 0 for n in states):
             raise ConfigError("states must be non-empty with all n >= 0")
 
         fgh_raw = dict(raw.get("fgh") or {})
-        box = fgh_raw.get("box", "auto")
-        if box != "auto" and box is not None:
+        box = "auto" if fgh_raw.get("box") is None else fgh_raw["box"]  # YAML null is auto
+        if box != "auto":
             if not (isinstance(box, (list, tuple)) and len(box) == 2):
                 raise ConfigError("fgh.box must be 'auto' or [x_min, x_max]")
             box = (float(box[0]), float(box[1]))
         fgh_cfg = fgh.FghConfig(
-            n_points=int(fgh_raw.get("n_points", 513)),
-            box=box if box is not None else "auto",
-            n_states=int(fgh_raw.get("n_states", max(states) + 1)),
+            n_points=_int(fgh_raw.get("n_points", 513), "fgh.n_points"),
+            box=box,
+            n_states=_int(fgh_raw.get("n_states", max(states) + 1), "fgh.n_states"),
         )
 
         outputs = dict(raw.get("outputs") or {})
         formats = list(outputs.get("formats", ["csv", "json"]))
         if not set(formats) <= {"csv", "json"}:
             raise ConfigError(f"outputs.formats must be a subset of [csv, json], got {formats}")
-        grid_points = int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS))
+        grid_points = _int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS),
+                           "outputs.grid_points")
         if grid_points < 3:  # the fewest that put a sample inside the padded well
             raise ConfigError(f"outputs.grid_points must be >= 3, got {grid_points}")
 
         validation = dict(raw.get("validation") or {})
         p_max = float(validation.get("p_max", 5.0))
-        n_samples = int(validation.get("n_samples", 2048))
+        n_samples = _int(validation.get("n_samples", 2048), "validation.n_samples")
         if not 0 < p_max < np.inf or n_samples < 4:  # condition C needs 2 positive samples
             raise ConfigError(f"validation needs a finite p_max > 0 and n_samples >= 4, "
                               f"got {p_max} and {n_samples}")

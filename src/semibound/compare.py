@@ -199,7 +199,7 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
     cfg = replace(cfg, n_states=max(cfg.n_states, max(ns) + 1))
     wkbj_states = [quantize(problem, n) for n in ns]
     top = wkbj_states[-1]
-    if cfg.box in ("auto", None) and top.n == cfg.n_states - 1:
+    if cfg.box == "auto" and top.n == cfg.n_states - 1:
         # the auto box comes from this very level: reuse its turning points
         cfg = replace(cfg, box=padded_box(top.turning_points))
     spectrum = solve(problem, cfg)

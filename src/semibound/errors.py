@@ -24,7 +24,7 @@ class MultiWellUnsupported(SemiboundError):
 
 
 class EnergyCeilingExceeded(SemiboundError):
-    """Quantization bracket search exceeded the configured energy ceiling."""
+    """Quantization bracket lost the classical region, or passed `wkbj.ENERGY_CEILING`."""
 
 
 class QuadratureNotConverged(SemiboundError):

@@ -96,7 +96,7 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         raise GridTooSmall(f"fgh.n_points = {config.n_points} is too small for "
                            f"{config.n_states} states: at least "
                            f"{2 * config.n_states + 1} are needed")
-    if config.box == "auto" or config.box is None:
+    if config.box == "auto":
         box = auto_box(problem, config.n_states)
     else:
         box = tuple(config.box)
@@ -168,6 +168,5 @@ def fgh_density(spectrum: Spectrum, n: int) -> SampledDensity:
         values=psi * psi,
         support=None,
         provenance=Provenance.FGH,
-        normalization_domain=(float(spectrum.grid[0]), float(spectrum.grid[-1])),
         n=n,
     )

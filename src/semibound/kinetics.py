@@ -9,7 +9,7 @@ reduced law t(p) = T(p) - T(0) carries the dynamics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -19,8 +19,6 @@ from .errors import NoEffectiveMass
 
 if TYPE_CHECKING:
     from .potentials import PotentialLaw
-
-ArrayLike = "float | np.ndarray"
 
 #: absolute slack below the rest energy tolerated by inverse() (round-off guard)
 INVERSE_CLAMP = 1e-12
@@ -48,7 +46,6 @@ class KineticLaw:
     inverse: Callable
     rest_energy: float
     smoothness: Smoothness = Smoothness.SMOOTH
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ def nonrelativistic(m: float = 1.0) -> KineticLaw:
         deriv2=lambda p: np.full_like(np.asarray(p, dtype=float), 1.0 / m),
         inverse=_clamped_inverse(lambda y: np.sqrt(2.0 * m * y), 0.0),
         rest_energy=0.0,
-        params={"m": m},
     )
 
 
@@ -104,7 +100,6 @@ def relativistic(m: float) -> KineticLaw:
         deriv2=lambda p: m * m / (np.asarray(p) ** 2 + m * m) ** 1.5,
         inverse=_clamped_inverse(lambda y: np.sqrt(np.maximum(y * y - m * m, 0.0)), m),
         rest_energy=m,
-        params={"m": m},
     )
 
 
@@ -118,7 +113,6 @@ def massless() -> KineticLaw:
         inverse=_clamped_inverse(lambda y: np.asarray(y, dtype=float), 0.0),
         rest_energy=0.0,
         smoothness=Smoothness.NON_SMOOTH_AT_ZERO,
-        params={},
     )
 
 
@@ -129,7 +123,6 @@ def from_callable(
     deriv2: Optional[Callable] = None,
     inverse: Optional[Callable] = None,
     smoothness: Smoothness = Smoothness.SMOOTH,
-    params: Optional[dict] = None,
 ) -> KineticLaw:
     """Build a law from T(p) alone; missing pieces are synthesized numerically.
 
@@ -162,8 +155,7 @@ def from_callable(
                     raise ValueError(f"no momentum found with T(p) = {y}")
             return brentq(lambda p: float(fn(p)) - y, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
 
-        raw = np.vectorize(_scalar_inverse, otypes=[float])
-        inverse = lambda y: raw(y) if isinstance(y, np.ndarray) else float(raw(y))
+        inverse = np.vectorize(_scalar_inverse, otypes=[float])
 
     return KineticLaw(
         name=name,
@@ -173,7 +165,6 @@ def from_callable(
         inverse=_clamped_inverse(inverse, rest),
         rest_energy=rest,
         smoothness=smoothness,
-        params=params or {},
     )
 
 

@@ -7,7 +7,7 @@ points) are supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ class PotentialLaw:
     eval: Callable
     minimum_location: float
     minimum_value: float
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ def linear(lam: float) -> PotentialLaw:
         eval=lambda x: lam * np.abs(np.asarray(x, dtype=float)),
         minimum_location=0.0,
         minimum_value=0.0,
-        params={"lambda": lam},
     )
 
 
@@ -72,7 +70,6 @@ def harmonic(mass: float = 1.0, omega: float = 1.0) -> PotentialLaw:
         eval=lambda x: k * np.asarray(x, dtype=float) ** 2,
         minimum_location=0.0,
         minimum_value=0.0,
-        params={"mass": mass, "omega": omega},
     )
 
 
@@ -85,7 +82,6 @@ def power(c: float, q: float) -> PotentialLaw:
         eval=lambda x: c * np.abs(np.asarray(x, dtype=float)) ** q,
         minimum_location=0.0,
         minimum_value=0.0,
-        params={"c": c, "q": q},
     )
 
 
@@ -93,7 +89,6 @@ def from_callable(
     name: str,
     eval: Callable,
     minimum_location: Optional[float] = None,
-    params: Optional[dict] = None,
 ) -> PotentialLaw:
     """Wrap an opaque V(x); the minimum is located numerically when not given."""
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
@@ -106,7 +101,6 @@ def from_callable(
         eval=fn,
         minimum_location=float(minimum_location),
         minimum_value=float(fn(minimum_location)),
-        params=params or {},
     )
 
 

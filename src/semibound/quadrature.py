@@ -12,7 +12,6 @@ QuadratureNotConverged rather than returning its last estimate.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,26 +27,21 @@ PANEL_ORDER = 16
 #: panels of the first (coarsest) level of adaptive_gauss
 START_PANELS = 2
 
-
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+#: Gauss-Legendre nodes and weights of one panel, on [-1, 1]
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
-def composite_gauss(f: Callable, lo: float, hi: float, panels: int,
-                    order: int = PANEL_ORDER) -> float:
-    """Composite Gauss-Legendre with `panels` equal panels of the given order."""
+def composite_gauss(f: Callable, lo: float, hi: float, panels: int) -> float:
+    """Composite Gauss-Legendre with `panels` equal panels of PANEL_ORDER nodes."""
     if hi == lo:
         return 0.0
-    xg, wg = _gl_nodes(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes for all panels in one evaluation: shape (panels, order)
-    x = mid[:, None] + half[:, None] * xg[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(panels, order)
-    return float(np.sum(y * wg[None, :] * half[:, None]))
+    # nodes for all panels in one evaluation: shape (panels, PANEL_ORDER)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(panels, PANEL_ORDER)
+    return float(np.sum(y * _WEIGHTS[None, :] * half[:, None]))
 
 
 def adaptive_gauss(f: Callable, lo: float, hi: float, rel_tol: float = REL_TOL,
@@ -89,42 +83,40 @@ def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     return h
 
 
-def _pieces(a: float, b: float, splits: Sequence[float],
-            sqrt_left: bool, sqrt_right: bool):
+def _pieces(a: float, b: float, splits: Sequence[float], sqrt_ends: bool):
     """(lo, hi, substitute) per smooth piece of (a, b).
 
     substitute maps an integrand over x to the integrand on [lo, hi]: the
-    sqrt substitution at a substituted endpoint, the identity elsewhere.
+    sqrt substitution at both endpoints when sqrt_ends, the identity elsewhere.
     """
     pts = sorted(x for x in splits if a < x < b)
-    if not pts and (sqrt_left or sqrt_right):
+    if not pts and sqrt_ends:
         pts = [0.5 * (a + b)]
     edges = [a] + pts + [b]
     for i in range(len(edges) - 1):
         lo, hi = edges[i], edges[i + 1]
-        if i == 0 and sqrt_left:
+        if i == 0 and sqrt_ends:
             yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, a, b)
-        elif i == len(edges) - 2 and sqrt_right:
+        elif i == len(edges) - 2 and sqrt_ends:
             yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, b, a)
         else:
             yield lo, hi, lambda f: f
 
 
 def well_integral(f: Callable, a: float, b: float,
-                  splits: Sequence[float] = (),
-                  sqrt_left: bool = True, sqrt_right: bool = True) -> float:
+                  splits: Sequence[float] = (), sqrt_ends: bool = True) -> float:
     """Integrate f over (a, b) with endpoint substitutions and interior splits.
 
     splits: interior break points (points of reduced smoothness, such as a
-    potential kink); values outside (a, b) are ignored.
+    potential kink); values outside (a, b) are ignored. sqrt_ends substitutes
+    x = endpoint + u^2 at both endpoints.
     """
     return sum(adaptive_gauss(sub(f), lo, hi)
-               for lo, hi, sub in _pieces(a, b, splits, sqrt_left, sqrt_right))
+               for lo, hi, sub in _pieces(a, b, splits, sqrt_ends))
 
 
 def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
-                       splits: Sequence[float] = (),
-                       sqrt_left: bool = True, sqrt_right: bool = True) -> tuple:
+                       splits: Sequence[float] = (), sqrt_ends: bool = True) -> tuple:
     """(integral of f to REL_TOL, integral of g on the coarsest rule), one pass.
 
     Both use the pieces and substitutions of well_integral. g is integrated
@@ -132,7 +124,7 @@ def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
     estimate that never reaches the deep panels next to the endpoints.
     """
     total, coarse = 0.0, 0.0
-    for lo, hi, sub in _pieces(a, b, splits, sqrt_left, sqrt_right):
+    for lo, hi, sub in _pieces(a, b, splits, sqrt_ends):
         total += adaptive_gauss(sub(f), lo, hi)
         coarse += composite_gauss(sub(g), lo, hi, START_PANELS)
     return total, coarse

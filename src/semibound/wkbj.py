@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -36,6 +36,8 @@ TP_EXCLUSION = 1e-9
 PHASE_SAMPLES = 2049
 #: quantization stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE
 RESOLUTION_ULPS = 4
+#: quantize gives up this far above the well bottom e_lo, in units of max(1, |e_lo|)
+ENERGY_CEILING = 1e12
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,9 @@ def action_integral(problem: BoundStateProblem, E: float,
     return well_integral_pair(momentum, inverse_speed, tps.a, tps.b, **layout)
 
 
-def semiclassical_alpha(problem: BoundStateProblem, state: "WkbjState",
-                        e_star: Union[float, str] = "auto") -> float:
-    """alpha = hbar / (t^-1(E*) * d); auto picks E* = E_B - min V."""
-    e_b = binding_energy(problem, state.energy)
-    return _alpha(problem, state.turning_points, e_b, e_star)
-
-
-def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float,
-           e_star: Union[float, str] = "auto") -> float:
-    if e_star == "auto":
-        e_star = e_b - problem.potential.minimum_value
+def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float) -> float:
+    """alpha = hbar / (t^-1(E*) * d) with E* = E_B - min V."""
+    e_star = e_b - problem.potential.minimum_value
     if not e_star > 0:
         raise DegenerateAlpha(f"E* = {e_star} not positive")
     law = problem.kinetic
@@ -125,14 +119,13 @@ def _newton_energy(e_lo: float, point: _Probe, target: float) -> Optional[float]
     return e_lo + s * math.exp(min(du, 700.0))
 
 
-def quantize(problem: BoundStateProblem, n: int,
-             energy_ceiling: Optional[float] = None) -> WkbjState:
+def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
     """Solve A(E_n) = pi*hbar*(n + 1/2) by safeguarded Newton with dA/dE = tau/2.
 
     A(E) is strictly increasing for confining wells, so the root is unique.
     The bracket starts at the well bottom e_lo, where A = 0 exactly and is
     never evaluated, and its top grows geometrically until A reaches the
-    target; exceeding `energy_ceiling` (default 1e12 above the well bottom)
+    target; exceeding ENERGY_CEILING * max(1, |e_lo|) above the well bottom
     or losing the turning points signals a non-confining configuration.
     Inside the bracket each step is Newton on log A against log(E - e_lo),
     replaced by bisection when it leaves the bracket, fails to halve the
@@ -146,8 +139,7 @@ def quantize(problem: BoundStateProblem, n: int,
     target = np.pi * problem.hbar * (n + 0.5)
     law, pot = problem.kinetic, problem.potential
     e_lo = pot.minimum_value + law.rest_energy
-    if energy_ceiling is None:
-        energy_ceiling = e_lo + 1e12 * max(1.0, abs(e_lo))
+    ceiling = e_lo + ENERGY_CEILING * max(1.0, abs(e_lo))
 
     lo, gap = e_lo, max(1.0, abs(e_lo))
     while True:
@@ -160,7 +152,7 @@ def quantize(problem: BoundStateProblem, n: int,
             break
         lo = point.energy
         gap *= 2.0
-        if e_lo + gap > energy_ceiling:
+        if e_lo + gap > ceiling:
             raise EnergyCeilingExceeded(
                 f"A(E) below pi*hbar*(n+1/2) = {target} up to E = {e_lo + gap}")
     hi = point.energy
@@ -218,8 +210,8 @@ def _phase_spline(problem: BoundStateProblem, E: float, tps: TurningPoints) -> C
     momentum, layout = momentum_field(problem, E), well_layout(problem)
     a, b = tps.a, tps.b
     x0 = min(max(layout["splits"][0], a + 1e-12 * tps.d), b - 1e-12 * tps.d)
-    right = _half_well_phase(momentum, b, x0, layout["sqrt_right"])
-    left = _half_well_phase(momentum, a, x0, layout["sqrt_left"])
+    right = _half_well_phase(momentum, b, x0, layout["sqrt_ends"])
+    left = _half_well_phase(momentum, a, x0, layout["sqrt_ends"])
     total = float(right(x0)) + float(left(x0))
 
     def phi(x):
@@ -254,9 +246,9 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
     psi = np.zeros_like(grid)
     inside = (grid >= tps.a) & (grid <= tps.b)
     psi[inside] = D * raw_psi(grid[inside])
-    # psi diverges at a turning point exactly where the layout sqrt-substitutes it
-    for tp, divergent in ((tps.a, layout["sqrt_left"]), (tps.b, layout["sqrt_right"])):
-        if divergent:
+    # psi diverges at the turning points exactly where the layout sqrt-substitutes them
+    if layout["sqrt_ends"]:
+        for tp in (tps.a, tps.b):
             psi[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
     return psi
 
@@ -273,7 +265,6 @@ def wkbj_wavefunction(problem: BoundStateProblem, state: WkbjState,
         values=psi * psi,
         support=tps,
         provenance=Provenance.WKBJ,
-        normalization_domain=(tps.a, tps.b),
         n=state.n,
     )
 

@@ -382,6 +382,13 @@ MALFORMED = {
     "harmonic-coefficient-overflows": ("problem.potential",
                                        {"kind": "harmonic", "mass": 1.0e200, "omega": 1.0e100},
                                        0, 2, "0.5*mass*omega^2"),
+    "states-float": ("states", [1.5], 2, 2, "states must be an integer, got 1.5"),
+    "states-bool": ("states", [True], 2, 2, "states must be an integer, got True"),
+    "states-range-floats": ("states", {"range": [0.5, 2.7]}, 2, 2,
+                            "states.range must be an integer, got 0.5"),
+    "n_points-float": ("fgh.n_points", 65.9, 2, 2, "fgh.n_points must be an integer, got 65.9"),
+    "n_samples-float": ("validation.n_samples", 4.5, 2, 2,
+                        "validation.n_samples must be an integer, got 4.5"),
 }
 
 

@@ -31,7 +31,7 @@ def _density(values, grid=None, support=None, n=None):
     grid = grid if grid is not None else np.linspace(-1.0, 1.0, len(values))
     return SampledDensity(
         grid=grid, values=np.asarray(values, dtype=float), support=support,
-        provenance=Provenance.FGH, normalization_domain=(grid[0], grid[-1]), n=n)
+        provenance=Provenance.FGH, n=n)
 
 
 def test_distance_identical_is_zero():
@@ -201,8 +201,7 @@ def test_density_table_text_is_pinned(tmp_path):
     values = np.array([0.1, -0.0, 1e-300, 2.0 / 3.0, np.inf, -np.inf, np.nan])
     grid = np.linspace(-1.5, 1.5, len(values))
     rho_cl = SampledDensity(grid=grid, values=values, support=None,
-                            provenance=Provenance.CLASSICAL, normalization_domain=(-1.5, 1.5),
-                            n=2)
+                            provenance=Provenance.CLASSICAL, n=2)
     rho_fgh = replace(rho_cl, values=values[::-1], provenance=Provenance.FGH)
     (path,) = write_density_tables([rho_cl, rho_fgh], tmp_path)
     assert path.name == "density_n002.csv"

@@ -1,0 +1,78 @@
+"""Metamorphic oracles: spectra that must not change, or must scale exactly, under a
+transformation of the system, checked on both the WKBJ and the FGH routes."""
+
+import numpy as np
+import pytest
+
+from semibound import (
+    BoundStateProblem,
+    FghConfig,
+    linear,
+    massless,
+    nonrelativistic,
+    power,
+    quantize,
+    relativistic,
+    solve,
+)
+from semibound.potentials import from_callable
+
+NS = [0, 5, 15]
+FGH = FghConfig(n_points=513, n_states=16)
+
+
+def _spectra(problem):
+    """(WKBJ energies, FGH energies) of the states NS."""
+    wkbj = np.array([quantize(problem, n).energy for n in NS])
+    return wkbj, solve(problem, FGH).energies[NS]
+
+
+def _rel(new, ref):
+    return float(np.max(np.abs(new - ref) / np.abs(ref)))
+
+
+@pytest.mark.parametrize("law", [relativistic(0.2), massless()], ids=["A", "B"])
+def test_translation_leaves_spectrum_unchanged(law):
+    well = lambda x: 0.2 * np.abs(x)
+    base = BoundStateProblem(law, from_callable("well", well, minimum_location=0.0))
+    moved = BoundStateProblem(law, from_callable("moved", lambda x: well(x - 3.7),
+                                                 minimum_location=3.7))
+    (w0, f0), (w1, f1) = _spectra(base), _spectra(moved)
+    assert _rel(w1, w0) < 1e-12
+    assert _rel(f1, f0) < 1e-12
+
+
+def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged():
+    # slopes 0.2 and 0.5 on the two sides of a kink at 0
+    well = lambda x: np.where(x > 0, 0.2 * x, -0.5 * x)
+    law = relativistic(0.2)
+    left = BoundStateProblem(law, from_callable("asym", well, minimum_location=0.0))
+    right = BoundStateProblem(law, from_callable("mirror", lambda x: well(-x),
+                                                 minimum_location=0.0))
+    (w0, f0), (w1, f1) = _spectra(left), _spectra(right)
+    assert _rel(w1, w0) < 1e-12
+    # the Gauss-offset anchor sits on opposite sides of the kink in the two grids
+    assert _rel(f1, f0) < 1e-5
+
+
+def test_massless_linear_energies_scale_as_sqrt_hbar_lambda():
+    """|p| + lam|x|: x = sqrt(hbar/lam) y maps H onto sqrt(hbar*lam) (|q| + |y|)."""
+    scaled = []
+    for lam, hbar in [(0.2, 1.0), (3.0, 1.0), (0.2, 0.25), (1.0, 2.0)]:
+        wkbj, fgh = _spectra(BoundStateProblem(massless(), linear(lam), hbar=hbar))
+        scaled.append((wkbj / np.sqrt(hbar * lam), fgh / np.sqrt(hbar * lam)))
+    for wkbj, fgh in scaled[1:]:
+        assert _rel(wkbj, scaled[0][0]) < 1e-12
+        assert _rel(fgh, scaled[0][1]) < 1e-10
+
+
+def test_quartic_energies_scale_as_c_cube_root_over_m_two_thirds():
+    """p^2/2m + c x^4: x = (m c)^(-1/6) y maps H onto c^(1/3) m^(-2/3) (q^2/2 + y^4)."""
+    scaled = []
+    for m, c in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.1), (2.0, 5.0)]:
+        wkbj, fgh = _spectra(BoundStateProblem(nonrelativistic(m), power(c, 4.0)))
+        unit = c ** (1.0 / 3.0) * (1.0 / m) ** (2.0 / 3.0)
+        scaled.append((wkbj / unit, fgh / unit))
+    for wkbj, fgh in scaled[1:]:
+        assert _rel(wkbj, scaled[0][0]) < 1e-12
+        assert _rel(fgh, scaled[0][1]) < 1e-10

@@ -39,13 +39,13 @@ def test_sqrt_vanishing_endpoints():
 def test_interior_kink_split():
     # |x| on (-1, 2): exact 2.5; split at the kink keeps each panel polynomial
     val = well_integral(np.abs, -1.0, 2.0, splits=(0.0,),
-                        sqrt_left=False, sqrt_right=False)
+                        sqrt_ends=False)
     assert val == pytest.approx(2.5, rel=1e-13)
 
 
 def test_no_substitution_when_disabled():
     val = well_integral(lambda x: x * x, 0.0, 3.0, splits=(),
-                        sqrt_left=False, sqrt_right=False)
+                        sqrt_ends=False)
     assert val == pytest.approx(9.0, rel=1e-13)
 
 

@@ -17,7 +17,6 @@ from semibound import (
     power,
     quantize,
     relativistic,
-    semiclassical_alpha,
     turning_points,
     wkbj_averaged_density,
     wkbj_wavefunction,
@@ -120,7 +119,15 @@ def test_energy_ceiling_for_saturating_potential():
         minimum_location=0.0)
     prob = BoundStateProblem(nonrelativistic(1.0), plateau)
     with pytest.raises(EnergyCeilingExceeded):
-        quantize(prob, 40, energy_ceiling=50.0)
+        quantize(prob, 40)
+
+
+def test_energy_ceiling_stops_the_bracket(monkeypatch, oscillator):
+    # E_40 = 40.5; a ceiling of 10 above the well bottom stops the doubling at E = 16
+    monkeypatch.setattr(semibound.wkbj, "ENERGY_CEILING", 10.0)
+    with pytest.raises(EnergyCeilingExceeded, match=r"A\(E\) below pi\*hbar\*\(n\+1/2\) = .* "
+                       r"up to E = 16"):
+        quantize(oscillator, 40)
 
 
 def test_double_well_keeps_its_error_type():
@@ -197,8 +204,6 @@ def test_alpha_nonrelativistic_reduction(oscillator):
     e_star = state.energy  # E_B - min V with T(0) = 0, min V = 0
     expected = 1.0 / (np.sqrt(2.0 * e_star) * state.turning_points.d)
     assert state.alpha == pytest.approx(expected, rel=1e-12)
-    assert semiclassical_alpha(oscillator, state, e_star) == pytest.approx(
-        expected, rel=1e-12)
 
 
 def test_alpha_order_of_magnitude(benchmark_a, benchmark_b, oscillator):

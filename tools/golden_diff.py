@@ -1,0 +1,122 @@
+"""Check that the CLI writes byte-identical files at the working tree and at a git revision.
+
+    python tools/golden_diff.py [--rev REV]
+
+`git archive REV` is extracted into a temporary directory. For the working
+tree and for that copy, every pipeline runs on each benchmark config (those of
+the working tree, so only the program differs) in a subprocess with
+PYTHONPATH=<tree>/src and PYTHONDONTWRITEBYTECODE=1, writing into the same
+temporary directory. The two output trees are then compared file by file.
+For each CSV whose bytes differ, the worst |new - old| / max|old| of every
+column is printed. Exit status 0 only when both trees hold the same files with
+the same bytes; nothing is written outside the temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import math
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = ("benchmark_a", "benchmark_b")
+PIPELINES = ("classical", "wkbj", "fgh", "compare")
+
+
+def run_pipelines(tree: Path, out_root: Path) -> None:
+    """Every pipeline on every benchmark config with the package under tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    for cfg in CONFIGS:
+        for pipeline in PIPELINES:
+            subprocess.run(
+                [sys.executable, "-m", "semibound.cli", "solve",
+                 "--config", str(REPO / "configs" / f"{cfg}.yaml"),
+                 "--pipeline", pipeline, "--out", str(out_root / f"{cfg}-{pipeline}")],
+                env=env, cwd=out_root, check=True, stdout=subprocess.DEVNULL)
+
+
+def _cell(text: str) -> float:
+    """A CSV cell as a float; `null` (the writer's non-finite sentinel) is NaN."""
+    return math.nan if text == "null" else float(text)
+
+
+def column_deltas(old: Path, new: Path) -> dict:
+    """Worst |new - old| / max|old| per column of two CSV tables with the same header.
+
+    A column whose finite old values are all 0 is compared absolutely; a cell
+    that is null on one side only, or a row count that differs, counts as inf.
+    Tables with different headers give {"header": inf}.
+    """
+    with old.open(newline="", encoding="utf-8") as f:
+        old_rows = list(csv.reader(f))
+    with new.open(newline="", encoding="utf-8") as f:
+        new_rows = list(csv.reader(f))
+    header = old_rows[0]
+    if new_rows[0] != header:
+        return {"header": math.inf}
+    deltas = {}
+    for j, name in enumerate(header):
+        a = [_cell(row[j]) for row in old_rows[1:]]
+        b = [_cell(row[j]) for row in new_rows[1:]]
+        if len(a) != len(b):
+            deltas[name] = math.inf
+            continue
+        scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0) or 1.0
+        worst = 0.0
+        for x, y in zip(a, b):
+            if math.isnan(x) and math.isnan(y):
+                continue
+            d = abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
+            worst = max(worst, d / scale)
+        deltas[name] = worst
+    return deltas
+
+
+def compare_trees(old: Path, new: Path) -> tuple:
+    """(files compared, byte-identical files, one report line per difference)."""
+    old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+    new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    lines = [f"only at {side}: {path}" for side, only in (("rev", old_files - new_files),
+                                                          ("tree", new_files - old_files))
+             for path in sorted(only)]
+    common = sorted(old_files & new_files)
+    identical = 0
+    for path in common:
+        if (old / path).read_bytes() == (new / path).read_bytes():
+            identical += 1
+            continue
+        lines.append(f"differs: {path}")
+        if path.suffix == ".csv":
+            for name, delta in column_deltas(old / path, new / path).items():
+                if delta:
+                    lines.append(f"  {name}: worst |delta|/max|column| = {delta:.3e}")
+    return len(old_files | new_files), identical, lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rev", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="golden-diff-") as tmp:
+        root = Path(tmp)
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", args.rev],
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(root / "rev", filter="data")
+        for side, tree in (("rev", root / "rev"), ("tree", REPO)):
+            (root / f"out-{side}").mkdir()
+            run_pipelines(tree, root / f"out-{side}")
+        total, identical, lines = compare_trees(root / "out-rev", root / "out-tree")
+    print("\n".join(lines + [f"{identical}/{total} files byte-identical to {args.rev}"]))
+    return 0 if identical == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
