@@ -36,7 +36,7 @@ class DegenerateAlpha(SemiboundError):
 
 
 class EigensolverFailure(SemiboundError):
-    """Dense symmetric eigensolver did not converge."""
+    """Dense symmetric eigensolver did not converge, or its Hamiltonian is not finite."""
 
 
 class StateRangeMismatch(SemiboundError):

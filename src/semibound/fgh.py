@@ -9,9 +9,11 @@ k = -(N-1)/2 .. (N-1)/2, giving the real symmetric matrix
 The kinetic kernel depends only on i - j and is assembled with one real DFT,
 then Toeplitz-filled. The grid is always shifted by less than one spacing so
 that the potential minimum sits at the Gauss offset 1/2 - 1/(2*sqrt(3))
-inside its cell: for potentials with a kink at the minimum (such as lam*|x|)
-this cancels the leading O(dx^2) sampling error of the corner, restoring
-fourth-order eigenvalue convergence; for smooth potentials the shift is
+inside its cell: for a symmetric kink at the minimum (such as lam*|x|) this
+cancels the leading O(dx^2) sampling error of the corner, restoring
+fourth-order eigenvalue convergence. A kink with unequal slopes keeps a
+third-order error: the energies of V and of its reflection V(-x) differ by
+~8 times less per doubling of N. For smooth potentials the shift is
 immaterial.
 """
 
@@ -133,18 +135,41 @@ def build_hamiltonian(problem: BoundStateProblem, config: FghConfig,
     return H
 
 
+def _require_finite(H: np.ndarray, grid: np.ndarray) -> None:
+    """O(N) finiteness check of H = toeplitz(K) + diag(V).
+
+    Off the diagonal H holds the kernel values K[|i-j|], all of which appear in
+    its first row; on the diagonal it holds K[0] + V(x_i). So H is finite
+    exactly when that row and the diagonal are.
+    """
+    if not np.isfinite(H[0, 1:]).all():
+        raise EigensolverFailure("Hamiltonian is not finite: the kinetic kernel K is not "
+                                 "finite (T(p) at the grid momenta)")
+    bad = ~np.isfinite(np.diagonal(H))
+    if bad.any():
+        raise EigensolverFailure(f"Hamiltonian is not finite: V(x) is not finite at grid "
+                                 f"x = {grid[np.argmax(bad)]:.6g}")
+
+
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
-    Only those eigenpairs are computed (resolve_grid guarantees N > n_states).
+    Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
+    by LAPACK in place on the freshly built H, so the solve holds one N x N
+    matrix. A non-finite H raises EigensolverFailure naming the kinetic
+    kernel or the first grid x where V is not finite.
     Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over
     the whole grid) with the first non-negligible component positive.
     """
     grid = resolve_grid(problem, config)
     dx = grid[1] - grid[0]
     H = build_hamiltonian(problem, config, grid)
+    _require_finite(H, grid)
+    # H is exactly symmetric, so H.T is a Fortran-ordered view of the same
+    # matrix: LAPACK overwrites it in place instead of working on a copy
     try:
-        energies, vectors = scipy.linalg.eigh(H, subset_by_index=[0, config.n_states - 1])
+        energies, vectors = scipy.linalg.eigh(H.T, subset_by_index=[0, config.n_states - 1],
+                                              overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
 

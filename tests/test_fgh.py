@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +175,70 @@ def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_
     assert main(["solve", "--config", str(config), "--pipeline", "fgh",
                  "--out", str(tmp_path / "x")]) == 1
     assert "dense eigensolver failed" in capsys.readouterr().err
+
+
+def test_nonfinite_potential_is_an_eigensolver_failure():
+    wall = potential_from_callable("wall", lambda x: np.where(np.abs(x) > 3.0, np.inf, 0.5 * x * x),
+                                   minimum_location=0.0)
+    prob = BoundStateProblem(nonrelativistic(1.0), wall)
+    cfg = FghConfig(n_points=65, box=(-5.0, 5.0), n_states=4)
+    first = resolve_grid(prob, cfg)[0]
+    assert first < -3.0
+    with pytest.raises(EigensolverFailure, match=f"V\\(x\\) is not finite at grid x = {first:.6g}"):
+        solve(prob, cfg)
+
+
+def test_nonfinite_kinetic_law_is_an_eigensolver_failure():
+    # the grid momenta reach pi / dx ~ 12.6, beyond the cap at |p| = 5
+    capped = kinetic_from_callable("capped", lambda p: np.where(np.abs(p) > 5.0, np.inf, 0.5 * p * p),
+                                   deriv=lambda p: p, deriv2=lambda p: np.ones_like(p),
+                                   inverse=lambda y: np.sqrt(2.0 * y))
+    prob = BoundStateProblem(capped, harmonic(1.0, 1.0))
+    # the kernel's FFT flags the infinite samples as invalid values: that is the input under test
+    with np.errstate(invalid="ignore"), pytest.raises(EigensolverFailure, match="kinetic kernel"):
+        solve(prob, FghConfig(n_points=65, box=(-8.0, 8.0), n_states=4))
+
+
+def test_overflowing_potential_exits_1_without_traceback(tmp_path):
+    # c |x|^2000 overflows to inf at the auto box's edges; run in a subprocess
+    # because the overflow RuntimeWarning is an error under the test suite's filter
+    config = tmp_path / "run.yaml"
+    config.write_text("problem: {kinetic: {kind: nonrelativistic, m: 1.0}, "
+                      "potential: {kind: power, c: 1.0, q: 2000}}\n"
+                      "states: [0, 1]\nfgh: {n_points: 65, n_states: 4, box: auto}\n",
+                      encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-m", "semibound.cli", "solve", "--config",
+                             str(config), "--pipeline", "fgh", "--out", str(tmp_path / "x")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "EigensolverFailure" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_solve_holds_one_hamiltonian(benchmark_b):
+    """LAPACK works in place on H: the peak is about one N x N matrix, not two."""
+    N = 1025
+    cfg = FghConfig(n_points=N, n_states=32)
+    solve(benchmark_b, cfg)
+    tracemalloc.start()
+    try:
+        solve(benchmark_b, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * N * N
+
+
+def test_in_place_solve_is_repeatable(benchmark_a):
+    cfg = FghConfig(n_points=257, n_states=8)
+    first, second = solve(benchmark_a, cfg), solve(benchmark_a, cfg)
+    assert np.array_equal(first.energies, second.energies)
+    for a, b in zip(first.states, second.states):
+        assert np.array_equal(a.wavefunction, b.wavefunction)
+    H = build_hamiltonian(benchmark_a, cfg)
+    assert np.array_equal(H, H.T)
 
 
 def test_parity_alternates(benchmark_a):

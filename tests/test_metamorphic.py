@@ -42,17 +42,36 @@ def test_translation_leaves_spectrum_unchanged(law):
     assert _rel(f1, f0) < 1e-12
 
 
-def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged():
-    # slopes 0.2 and 0.5 on the two sides of a kink at 0
+def _asymmetric_kink(law):
+    """The well with slopes 0.2 (x > 0) and 0.5 (x < 0) at a kink at 0, and its reflection."""
     well = lambda x: np.where(x > 0, 0.2 * x, -0.5 * x)
-    law = relativistic(0.2)
-    left = BoundStateProblem(law, from_callable("asym", well, minimum_location=0.0))
-    right = BoundStateProblem(law, from_callable("mirror", lambda x: well(-x),
-                                                 minimum_location=0.0))
+    return (BoundStateProblem(law, from_callable("asym", well, minimum_location=0.0)),
+            BoundStateProblem(law, from_callable("mirror", lambda x: well(-x),
+                                                 minimum_location=0.0)))
+
+
+def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged():
+    left, right = _asymmetric_kink(relativistic(0.2))
     (w0, f0), (w1, f1) = _spectra(left), _spectra(right)
     assert _rel(w1, w0) < 1e-12
     # the Gauss-offset anchor sits on opposite sides of the kink in the two grids
     assert _rel(f1, f0) < 1e-5
+
+
+def test_asymmetric_kink_reflection_gap_converges_at_third_order():
+    """The Gauss offset cancels the corner error only for equal slopes.
+
+    With slopes 0.2 and 0.5 the FGH reflection gap falls by ~8 per doubling of N
+    (measured 7.99-8.24 for n = 0, 5, 15 at N = 257 -> 513 -> 1025), not by 16.
+    """
+    left, right = _asymmetric_kink(nonrelativistic(1.0))
+    gaps = []
+    for n_points in (257, 513, 1025):
+        cfg = FghConfig(n_points=n_points, n_states=16)
+        e0, e1 = solve(left, cfg).energies[NS], solve(right, cfg).energies[NS]
+        gaps.append(np.abs(e1 - e0) / np.abs(e0))
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((ratios >= 6.0) & (ratios <= 10.0))
 
 
 def test_massless_linear_energies_scale_as_sqrt_hbar_lambda():
@@ -72,6 +91,19 @@ def test_quartic_energies_scale_as_c_cube_root_over_m_two_thirds():
     for m, c in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.1), (2.0, 5.0)]:
         wkbj, fgh = _spectra(BoundStateProblem(nonrelativistic(m), power(c, 4.0)))
         unit = c ** (1.0 / 3.0) * (1.0 / m) ** (2.0 / 3.0)
+        scaled.append((wkbj / unit, fgh / unit))
+    for wkbj, fgh in scaled[1:]:
+        assert _rel(wkbj, scaled[0][0]) < 1e-12
+        assert _rel(fgh, scaled[0][1]) < 1e-10
+
+
+@pytest.mark.parametrize("q", [1.5, 3.0, 6.0])
+def test_power_well_energies_scale_as_c_and_m_powers(q):
+    """p^2/2m + c|x|^q: x = (m c)^(-1/(q+2)) y scales H by c^(2/(q+2)) m^(-q/(q+2))."""
+    scaled = []
+    for m, c in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.1), (2.0, 5.0)]:
+        wkbj, fgh = _spectra(BoundStateProblem(nonrelativistic(m), power(c, q)))
+        unit = c ** (2.0 / (q + 2.0)) * m ** (-q / (q + 2.0))
         scaled.append((wkbj / unit, fgh / unit))
     for wkbj, fgh in scaled[1:]:
         assert _rel(wkbj, scaled[0][0]) < 1e-12
