@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,10 +25,12 @@ GRID_MARGIN = 0.05
 
 
 class Provenance(str, enum.Enum):
-    CLASSICAL = "classical"
-    WKBJ = "wkbj"
-    WKBJ_AVERAGED = "wkbj_averaged"
-    FGH = "fgh"
+    """The route a density came from; its value is the density table's column name."""
+
+    CLASSICAL = "rho_cl"
+    WKBJ = "rho_wkbj"
+    WKBJ_AVERAGED = "rho_wkbj_averaged"
+    FGH = "rho_fgh"
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,13 @@ def speed_field(problem: BoundStateProblem, E: float) -> callable:
     return speed
 
 
-def well_layout(problem: BoundStateProblem) -> dict:
-    """Keyword layout of `well_integral` over this problem's classical region.
+def well_layout(problem: BoundStateProblem) -> Tuple[float, bool]:
+    """(split, sqrt_ends) of `well_integral` over this problem's classical region.
 
     The region is split at the potential minimum; for smooth kinetic laws
     both turning points are sqrt-substituted.
     """
-    return dict(splits=(problem.potential.minimum_location,),
-                sqrt_ends=problem.kinetic.smoothness is Smoothness.SMOOTH)
+    return problem.potential.minimum_location, problem.kinetic.smoothness is Smoothness.SMOOTH
 
 
 def period(problem: BoundStateProblem, E: float,
@@ -101,7 +102,7 @@ def period(problem: BoundStateProblem, E: float,
     tps = tps or turning_points(problem, E)
     speed = speed_field(problem, E)
     return 2.0 * well_integral(lambda x: 1.0 / speed(x), tps.a, tps.b,
-                               **well_layout(problem))
+                               *well_layout(problem))
 
 
 def classical_density(problem: BoundStateProblem, E: float,

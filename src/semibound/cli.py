@@ -69,6 +69,15 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _known(section, keys: tuple, where: str = "") -> dict:
+    """section as a dict ({} when absent or null); a key not in keys is a ConfigError naming it."""
+    section = dict(section or {})
+    unknown = [f"{where}{k}" for k in section if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown fields {unknown}, expected some of {list(keys)}")
+    return section
+
+
 @contextmanager
 def _raise_as(error: type, prefix: str = ""):
     """Re-raise a TypeError or ValueError from the block as `error`, prefixing its message."""
@@ -84,11 +93,8 @@ def _law_params(problem: dict, key: str, registry: dict) -> tuple:
     kind = _require(section, "kind", f"problem.{key}")
     if kind not in registry:
         raise ConfigError(f"problem.{key}.kind '{kind}' not one of {sorted(registry)}")
-    params = {k: float(v) for k, v in section.items() if k != "kind"}
-    unknown = set(params) - set(registry[kind][1])
-    if unknown:
-        raise ConfigError(f"unknown parameters {sorted(unknown)} for kind '{kind}'")
-    return kind, params
+    _known(section, ("kind",) + registry[kind][1], f"problem.{key}.")
+    return kind, {k: float(v) for k, v in section.items() if k != "kind"}
 
 
 def parse_config(path) -> RunConfig:
@@ -105,16 +111,18 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
 
     with _raise_as(ConfigError):
+        _known(raw, ("problem", "states", "fgh", "outputs", "validation"))
         problem = _require(raw, "problem", "")
         kin_kind, kinetic_params = _law_params(problem, "kinetic", KINETIC_KINDS)
         pot_kind, potential_params = _law_params(problem, "potential", POTENTIAL_KINDS)
+        _known(problem, ("kinetic", "potential", "hbar"), "problem.")
         hbar = float(problem.get("hbar", 1.0))
         if not 0 < hbar < np.inf:
             raise ConfigError(f"problem.hbar must be positive and finite, got {hbar}")
 
         states_raw = _require(raw, "states", "")
-        if isinstance(states_raw, dict) and "range" in states_raw:
-            lo, hi = states_raw["range"]
+        if isinstance(states_raw, dict):
+            lo, hi = _require(_known(states_raw, ("range",), "states."), "range", "states")
             states = list(range(_int(lo, "states.range"), _int(hi, "states.range") + 1))
         elif isinstance(states_raw, list):
             states = [_int(n, "states") for n in states_raw]
@@ -123,7 +131,7 @@ def parse_config(path) -> RunConfig:
         if not states or any(n < 0 for n in states):
             raise ConfigError("states must be non-empty with all n >= 0")
 
-        fgh_raw = dict(raw.get("fgh") or {})
+        fgh_raw = _known(raw.get("fgh"), ("n_points", "box", "n_states"), "fgh.")
         box = "auto" if fgh_raw.get("box") is None else fgh_raw["box"]  # YAML null is auto
         if box != "auto":
             if not (isinstance(box, (list, tuple)) and len(box) == 2):
@@ -135,16 +143,18 @@ def parse_config(path) -> RunConfig:
             n_states=_int(fgh_raw.get("n_states", max(states) + 1), "fgh.n_states"),
         )
 
-        outputs = dict(raw.get("outputs") or {})
-        formats = list(outputs.get("formats", ["csv", "json"]))
-        if not set(formats) <= {"csv", "json"}:
-            raise ConfigError(f"outputs.formats must be a subset of [csv, json], got {formats}")
+        outputs = _known(raw.get("outputs"), ("directory", "formats", "grid_points"), "outputs.")
+        formats = outputs.get("formats", ["csv", "json"])
+        if not isinstance(formats, list) or not formats or any(
+                f not in ("csv", "json") for f in formats):
+            raise ConfigError(f"outputs.formats must be a non-empty list drawn from [csv, json], "
+                              f"got {formats!r}")
         grid_points = _int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS),
                            "outputs.grid_points")
         if grid_points < 3:  # the fewest that put a sample inside the padded well
             raise ConfigError(f"outputs.grid_points must be >= 3, got {grid_points}")
 
-        validation = dict(raw.get("validation") or {})
+        validation = _known(raw.get("validation"), ("p_max", "n_samples"), "validation.")
         p_max = float(validation.get("p_max", 5.0))
         n_samples = _int(validation.get("n_samples", 2048), "validation.n_samples")
         if not 0 < p_max < np.inf or n_samples < 4:  # condition C needs 2 positive samples

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .classical import Provenance, SampledDensity, classical_density, momentum_field
+from .classical import SampledDensity, classical_density, momentum_field
 from .errors import GridMismatch, StateRangeMismatch, WindowTooWide
 from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
@@ -29,13 +29,6 @@ from .wkbj import WkbjState, quantize, wkbj_wavefunction
 SUP_MARGIN = 0.02
 #: cap on the adaptive averaging window, as a fraction of d
 MAX_WINDOW_FRACTION = 0.5
-
-_COLUMN_FOR = {
-    Provenance.CLASSICAL: "rho_cl",
-    Provenance.WKBJ: "rho_wkbj",
-    Provenance.WKBJ_AVERAGED: "rho_wkbj_averaged",
-    Provenance.FGH: "rho_fgh",
-}
 
 
 @dataclass(frozen=True)
@@ -260,7 +253,7 @@ def write_density_tables(densities: Sequence[SampledDensity],
         by_state.setdefault(rho.n, []).append(rho)
     for n in sorted(k for k in by_state if k is not None):
         group = by_state[n]
-        header = ",".join(["x"] + [_COLUMN_FOR[rho.provenance] for rho in group])
+        header = ",".join(["x"] + [rho.provenance.value for rho in group])
         columns = [group[0].grid] + [rho.values for rho in group]
         cells = [list(map(_fmt, column.tolist())) for column in columns]
         written.append(_write_lines(out / f"density_n{n:03d}.csv",

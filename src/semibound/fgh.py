@@ -75,18 +75,15 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
-def _grid(box: Tuple[float, float], n_points: int,
-          anchor: Optional[float] = None) -> np.ndarray:
-    """Uniform grid x_i = x_min + i*dx; `anchor` lands at the Gauss offset."""
+def _grid(box: Tuple[float, float], n_points: int, anchor: float) -> np.ndarray:
+    """Uniform grid on box, shifted by under half a cell so `anchor` sits at the Gauss offset."""
     x_min, x_max = box
     dx = (x_max - x_min) / n_points
-    if anchor is not None:
-        frac = (anchor - x_min) / dx
-        shift = (frac - np.floor(frac) - GAUSS_OFFSET) * dx
-        if shift > 0.5 * dx:
-            shift -= dx
-        x_min = x_min + shift
-    return x_min + dx * np.arange(n_points)
+    frac = (anchor - x_min) / dx
+    shift = (frac - np.floor(frac) - GAUSS_OFFSET) * dx
+    if shift > 0.5 * dx:
+        shift -= dx
+    return x_min + shift + dx * np.arange(n_points)
 
 
 def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
@@ -104,18 +101,22 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         box = tuple(config.box)
         if not -np.inf < box[0] < box[1] < np.inf:
             raise ConfigError(f"fgh.box needs finite x_min < x_max, got {list(box)}")
-    return _grid(box, config.n_points, anchor=problem.potential.minimum_location)
+    return _grid(box, config.n_points, problem.potential.minimum_location)
 
 
 def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.ndarray:
     """K(r) = (1/N) sum_k T(p_k) cos(2 pi k r / N) via one real DFT.
 
     p_k = 2 pi hbar k / (N dx); the hbar factor reduces to 1 in natural units.
+    A T(p_k) that is not finite raises EigensolverFailure before the DFT.
     """
     N = n_points
     M = (N - 1) // 2
     p = 2.0 * np.pi * problem.hbar * np.arange(-M, M + 1) / (N * dx)
     T = np.asarray(problem.kinetic.eval(p), dtype=float)
+    if not np.isfinite(T).all():
+        raise EigensolverFailure(f"the kinetic kernel needs a finite T(p): T is not finite "
+                                 f"at grid p = {p[~np.isfinite(T)][0]:.6g}")
     c = np.empty(N)
     c[0] = T[M]
     c[1:M + 1] = T[M + 1:]
@@ -144,7 +145,7 @@ def _require_finite(H: np.ndarray, grid: np.ndarray) -> None:
     """
     if not np.isfinite(H[0, 1:]).all():
         raise EigensolverFailure("Hamiltonian is not finite: the kinetic kernel K is not "
-                                 "finite (T(p) at the grid momenta)")
+                                 "finite (a finite T(p) overflowed its DFT)")
     bad = ~np.isfinite(np.diagonal(H))
     if bad.any():
         raise EigensolverFailure(f"Hamiltonian is not finite: V(x) is not finite at grid "

@@ -3,22 +3,22 @@
 Integrands over a classical region (a, b) either vanish like sqrt(x - a) or
 diverge like 1/sqrt(x - a) at the endpoints (smooth kinetic laws). The
 substitution x = a + u^2 makes both smooth, after which composite
-Gauss-Legendre with panel doubling converges rapidly. Integrals are split at
-interior break points (e.g. a potential kink) so each piece is smooth. An
-integral that has not converged within the node budget raises
+Gauss-Legendre with panel doubling converges rapidly. Every integral is two
+halves cut at the well's minimum (where any kink sits), each smooth with one
+turning point. An integral not converged within the node budget raises
 QuadratureNotConverged rather than returning its last estimate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
 
-#: default relative agreement between successive panel doublings
+#: relative agreement between successive panel doublings
 REL_TOL = 1e-11
 #: node budget cap for one integral
 MAX_NODES = 2**20
@@ -44,9 +44,9 @@ def composite_gauss(f: Callable, lo: float, hi: float, panels: int) -> float:
     return float(np.sum(y * _WEIGHTS[None, :] * half[:, None]))
 
 
-def adaptive_gauss(f: Callable, lo: float, hi: float, rel_tol: float = REL_TOL,
+def adaptive_gauss(f: Callable, lo: float, hi: float, *,
                    max_nodes: int = MAX_NODES) -> float:
-    """Double the panel count until successive finite estimates agree to rel_tol.
+    """Double the panel count until successive finite estimates agree to REL_TOL.
 
     Raises QuadratureNotConverged when the next doubling would exceed
     max_nodes. A non-finite estimate never counts as agreement.
@@ -59,11 +59,11 @@ def adaptive_gauss(f: Callable, lo: float, hi: float, rel_tol: float = REL_TOL,
         panels *= 2
         cur = composite_gauss(f, lo, hi, panels)
         if (math.isfinite(cur) and math.isfinite(prev)
-                and abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev))):
+                and abs(cur - prev) <= REL_TOL * max(abs(cur), abs(prev))):
             return cur
         if panels * 2 * PANEL_ORDER > max_nodes:
             raise QuadratureNotConverged(
-                f"no agreement to {rel_tol:g} on [{lo}, {hi}] within {max_nodes} nodes "
+                f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {max_nodes} nodes "
                 f"per level: last estimates {prev!r}, {cur!r}")
         prev = cur
 
@@ -83,48 +83,39 @@ def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     return h
 
 
-def _pieces(a: float, b: float, splits: Sequence[float], sqrt_ends: bool):
-    """(lo, hi, substitute) per smooth piece of (a, b).
+def _halves(a: float, b: float, split: float, sqrt_ends: bool) -> tuple:
+    """(lo, hi, substitute) of the halves (a, split) and (split, b); a < split < b.
 
-    substitute maps an integrand over x to the integrand on [lo, hi]: the
-    sqrt substitution at both endpoints when sqrt_ends, the identity elsewhere.
+    substitute maps an integrand over x to the integrand on [lo, hi]: the sqrt
+    substitution at the half's turning point when sqrt_ends, else the identity.
     """
-    pts = sorted(x for x in splits if a < x < b)
-    if not pts and sqrt_ends:
-        pts = [0.5 * (a + b)]
-    edges = [a] + pts + [b]
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        if i == 0 and sqrt_ends:
-            yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, a, b)
-        elif i == len(edges) - 2 and sqrt_ends:
-            yield 0.0, np.sqrt(hi - lo), lambda f: sqrt_substituted(f, b, a)
-        else:
-            yield lo, hi, lambda f: f
+    if not a < split < b:
+        raise ValueError(f"split {split!r} is not inside ({a!r}, {b!r})")
+    if sqrt_ends:
+        return ((0.0, np.sqrt(split - a), lambda f: sqrt_substituted(f, a, b)),
+                (0.0, np.sqrt(b - split), lambda f: sqrt_substituted(f, b, a)))
+    return (a, split, lambda f: f), (split, b, lambda f: f)
 
 
-def well_integral(f: Callable, a: float, b: float,
-                  splits: Sequence[float] = (), sqrt_ends: bool = True) -> float:
-    """Integrate f over (a, b) with endpoint substitutions and interior splits.
+def well_integral(f: Callable, a: float, b: float, split: float, sqrt_ends: bool = True) -> float:
+    """Integrate f over (a, b) as its two halves cut at split, a < split < b.
 
-    splits: interior break points (points of reduced smoothness, such as a
-    potential kink); values outside (a, b) are ignored. sqrt_ends substitutes
-    x = endpoint + u^2 at both endpoints.
+    sqrt_ends substitutes x = endpoint + u^2 at both endpoints.
     """
     return sum(adaptive_gauss(sub(f), lo, hi)
-               for lo, hi, sub in _pieces(a, b, splits, sqrt_ends))
+               for lo, hi, sub in _halves(a, b, split, sqrt_ends))
 
 
 def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
-                       splits: Sequence[float] = (), sqrt_ends: bool = True) -> tuple:
+                       split: float, sqrt_ends: bool = True) -> tuple:
     """(integral of f to REL_TOL, integral of g on the coarsest rule), one pass.
 
-    Both use the pieces and substitutions of well_integral. g is integrated
+    Both use the halves and substitutions of well_integral. g is integrated
     only on the START_PANELS nodes that begin f's panel doubling: a cheap
     estimate that never reaches the deep panels next to the endpoints.
     """
     total, coarse = 0.0, 0.0
-    for lo, hi, sub in _pieces(a, b, splits, sqrt_ends):
+    for lo, hi, sub in _halves(a, b, split, sqrt_ends):
         total += adaptive_gauss(sub(f), lo, hi)
         coarse += composite_gauss(sub(g), lo, hi, START_PANELS)
     return total, coarse

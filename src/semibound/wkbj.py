@@ -64,14 +64,14 @@ def action_integral(problem: BoundStateProblem, E: float,
     momentum = momentum_field(problem, E)
     layout = well_layout(problem)
     if not with_slope:
-        return well_integral(momentum, tps.a, tps.b, **layout)
+        return well_integral(momentum, tps.a, tps.b, *layout)
     speed = speed_field(problem, E)
 
     def inverse_speed(x):
         with np.errstate(divide="ignore"):
             return 1.0 / speed(x)
 
-    return well_integral_pair(momentum, inverse_speed, tps.a, tps.b, **layout)
+    return well_integral_pair(momentum, inverse_speed, tps.a, tps.b, *layout)
 
 
 def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float) -> float:
@@ -207,11 +207,11 @@ def _phase_spline(problem: BoundStateProblem, E: float, tps: TurningPoints) -> C
     The well is cut at the `well_layout` split; each half is accumulated
     from its own turning point and the two are stitched at the split.
     """
-    momentum, layout = momentum_field(problem, E), well_layout(problem)
+    momentum, (split, sqrt_ends) = momentum_field(problem, E), well_layout(problem)
     a, b = tps.a, tps.b
-    x0 = min(max(layout["splits"][0], a + 1e-12 * tps.d), b - 1e-12 * tps.d)
-    right = _half_well_phase(momentum, b, x0, layout["sqrt_ends"])
-    left = _half_well_phase(momentum, a, x0, layout["sqrt_ends"])
+    x0 = min(max(split, a + 1e-12 * tps.d), b - 1e-12 * tps.d)
+    right = _half_well_phase(momentum, b, x0, sqrt_ends)
+    left = _half_well_phase(momentum, a, x0, sqrt_ends)
     total = float(right(x0)) + float(left(x0))
 
     def phi(x):
@@ -238,8 +238,8 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
         with np.errstate(divide="ignore"):
             return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
 
-    layout = well_layout(problem)
-    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, **layout)
+    split, sqrt_ends = well_layout(problem)
+    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, split, sqrt_ends)
     D = 1.0 / np.sqrt(norm)
 
     grid = np.asarray(grid, dtype=float)
@@ -247,7 +247,7 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
     inside = (grid >= tps.a) & (grid <= tps.b)
     psi[inside] = D * raw_psi(grid[inside])
     # psi diverges at the turning points exactly where the layout sqrt-substitutes them
-    if layout["sqrt_ends"]:
+    if sqrt_ends:
         for tp in (tps.a, tps.b):
             psi[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
     return psi

@@ -389,6 +389,14 @@ MALFORMED = {
     "n_points-float": ("fgh.n_points", 65.9, 2, 2, "fgh.n_points must be an integer, got 65.9"),
     "n_samples-float": ("validation.n_samples", 4.5, 2, 2,
                         "validation.n_samples must be an integer, got 4.5"),
+    "unknown-top-level-key": ("output", {"formats": ["json"]}, 2, 2, "'output'"),
+    "unknown-problem-key": ("problem.hbarr", 2.0, 2, 2, "'problem.hbarr'"),
+    "unknown-states-key": ("states", {"range": [0, 1], "step": 2}, 2, 2, "'states.step'"),
+    "unknown-fgh-key": ("fgh.npoints", 9, 2, 2, "'fgh.npoints'"),
+    "unknown-outputs-key": ("outputs.format", ["json"], 2, 2, "'outputs.format'"),
+    "unknown-validation-key": ("validation.pmax", 1.0, 2, 2, "'validation.pmax'"),
+    "formats-empty": ("outputs.formats", [], 2, 2, "got []"),
+    "formats-bare-string": ("outputs.formats", "csv", 2, 2, "got 'csv'"),
 }
 
 

@@ -28,7 +28,7 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import resolve_grid
+from semibound.fgh import GAUSS_OFFSET, resolve_grid
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
 
@@ -78,6 +78,22 @@ def test_zero_kinetic_gives_diagonal_potential():
     H = build_hamiltonian(prob, cfg)
     grid = resolve_grid(prob, cfg)
     assert np.allclose(H, np.diag(grid**2 / 2), atol=1e-14)
+
+
+@pytest.mark.parametrize("box,shift_cells", [
+    ((-5.0, 5.0), 0.289),   # the minimum sits mid-cell: shift +0.289 dx, no wrap
+    ((-4.8, 5.0), -0.375),  # a raw shift of +0.625 dx wraps to -0.375 dx
+], ids=["no-wrap", "wrap"])
+def test_grid_puts_the_minimum_at_the_gauss_offset(box, shift_cells):
+    prob = BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0))  # minimum at 0
+    grid = resolve_grid(prob, FghConfig(n_points=65, box=box, n_states=4))
+    dx = (box[1] - box[0]) / 65
+    assert grid[1] - grid[0] == pytest.approx(dx, rel=1e-12)
+    offset = (0.0 - grid[0]) / dx
+    assert offset - np.floor(offset) == pytest.approx(GAUSS_OFFSET, abs=1e-12)
+    shift = (grid[0] - box[0]) / dx
+    assert abs(shift) < 0.5
+    assert shift == pytest.approx(shift_cells, abs=1e-3)
 
 
 def test_zero_potential_eigenvalues_are_kinetic_samples():
@@ -194,8 +210,8 @@ def test_nonfinite_kinetic_law_is_an_eigensolver_failure():
                                    deriv=lambda p: p, deriv2=lambda p: np.ones_like(p),
                                    inverse=lambda y: np.sqrt(2.0 * y))
     prob = BoundStateProblem(capped, harmonic(1.0, 1.0))
-    # the kernel's FFT flags the infinite samples as invalid values: that is the input under test
-    with np.errstate(invalid="ignore"), pytest.raises(EigensolverFailure, match="kinetic kernel"):
+    # refused before the kernel's DFT, so no "invalid value" RuntimeWarning comes first
+    with pytest.raises(EigensolverFailure, match="kinetic kernel needs a finite T"):
         solve(prob, FghConfig(n_points=65, box=(-8.0, 8.0), n_states=4))
 
 

@@ -25,27 +25,25 @@ def test_adaptive_smooth():
 def test_inverse_sqrt_endpoints():
     # integral of 1/sqrt(x(2-x)) over (0,2) = pi
     f = lambda x: 1.0 / np.sqrt(x * (2.0 - x))
-    val = well_integral(f, 0.0, 2.0, splits=(1.0,))
+    val = well_integral(f, 0.0, 2.0, 1.0)
     assert val == pytest.approx(np.pi, rel=1e-11)
 
 
 def test_sqrt_vanishing_endpoints():
     # integral of sqrt(1-x^2) over (-1,1) = pi/2
     f = lambda x: np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    val = well_integral(f, -1.0, 1.0, splits=(0.0,))
+    val = well_integral(f, -1.0, 1.0, 0.0)
     assert val == pytest.approx(np.pi / 2, rel=1e-11)
 
 
 def test_interior_kink_split():
     # |x| on (-1, 2): exact 2.5; split at the kink keeps each panel polynomial
-    val = well_integral(np.abs, -1.0, 2.0, splits=(0.0,),
-                        sqrt_ends=False)
+    val = well_integral(np.abs, -1.0, 2.0, 0.0, sqrt_ends=False)
     assert val == pytest.approx(2.5, rel=1e-13)
 
 
 def test_no_substitution_when_disabled():
-    val = well_integral(lambda x: x * x, 0.0, 3.0, splits=(),
-                        sqrt_ends=False)
+    val = well_integral(lambda x: x * x, 0.0, 3.0, 1.5, sqrt_ends=False)
     assert val == pytest.approx(9.0, rel=1e-13)
 
 
@@ -77,6 +75,18 @@ def test_pair_matches_separate_integrals():
     # integral of sqrt(1-x^2) to tolerance; of 1/sqrt(1-x^2) on the coarse rule
     f = lambda x: np.sqrt(np.maximum(1.0 - x * x, 0.0))
     g = lambda x: 1.0 / np.sqrt(1.0 - x * x)
-    total, coarse = well_integral_pair(f, g, -1.0, 1.0, splits=(0.0,))
-    assert total == well_integral(f, -1.0, 1.0, splits=(0.0,))
+    total, coarse = well_integral_pair(f, g, -1.0, 1.0, 0.0)
+    assert total == well_integral(f, -1.0, 1.0, 0.0)
     assert coarse == pytest.approx(np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("split", [0.0, 3.0, -1.0, 4.0, np.nan])
+@pytest.mark.parametrize("integrate", [
+    lambda f, split: well_integral(f, 0.0, 3.0, split),
+    lambda f, split: well_integral_pair(f, f, 0.0, 3.0, split),
+    lambda f, split: well_integral(f, 0.0, 3.0, split, sqrt_ends=False),
+], ids=["single", "pair", "no-substitution"])
+def test_split_outside_the_interval_is_refused(integrate, split):
+    # the two halves need a < split < b; a split at an end or outside is an error
+    with pytest.raises(ValueError, match="not inside"):
+        integrate(lambda x: x * x, split)
