@@ -149,6 +149,9 @@ def parse_config(path) -> RunConfig:
                 f not in ("csv", "json") for f in formats):
             raise ConfigError(f"outputs.formats must be a non-empty list drawn from [csv, json], "
                               f"got {formats!r}")
+        out_dir = outputs.get("directory", "out")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"outputs.directory must be a non-empty string, got {out_dir!r}")
         grid_points = _int(outputs.get("grid_points", classical.DEFAULT_GRID_POINTS),
                            "outputs.grid_points")
         if grid_points < 3:  # the fewest that put a sample inside the padded well
@@ -169,7 +172,7 @@ def parse_config(path) -> RunConfig:
             hbar=hbar,
             states=states,
             fgh=fgh_cfg,
-            out_dir=str(outputs.get("directory", "out")),
+            out_dir=out_dir,
             formats=formats,
             grid_points=grid_points,
             p_max=p_max,

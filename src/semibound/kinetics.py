@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoEffectiveMass
+from .roots import brentq_array
 
 if TYPE_CHECKING:
     from .potentials import PotentialLaw
@@ -127,7 +127,7 @@ def from_callable(
     """Build a law from T(p) alone; missing pieces are synthesized numerically.
 
     Derivatives use central differences (step 1e-6*max(1,|p|) for T', a wider
-    step for T'' to beat round-off); the inverse uses bracketed root finding.
+    step for T'' to beat round-off); the inverse is `roots.brentq_array` on [0, hi].
     """
     fn = lambda p: np.asarray(eval(np.asarray(p, dtype=float)), dtype=float)
     rest = float(fn(0.0))
@@ -145,17 +145,18 @@ def from_callable(
             return (fn(p + h) - 2.0 * fn(p) + fn(p - h)) / (h * h)
 
     if inverse is None:
-        def _scalar_inverse(y: float) -> float:
-            if y <= rest:
-                return 0.0
-            hi = 1.0
-            while float(fn(hi)) < y:
-                hi *= 2.0
-                if hi > 1e18:
-                    raise ValueError(f"no momentum found with T(p) = {y}")
-            return brentq(lambda p: float(fn(p)) - y, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
-
-        inverse = np.vectorize(_scalar_inverse, otypes=[float])
+        def inverse(y):
+            y = np.asarray(y, dtype=float)
+            p, above = np.zeros(y.shape), ~(y <= rest)  # NaN goes on to the solver, which raises
+            target = y[above]
+            hi = np.ones_like(target)  # doubled element by element until T(hi) >= y
+            while np.any(short := fn(hi) < target):
+                hi[short] *= 2.0
+                if np.any(hi > 1e18):
+                    raise ValueError(f"no momentum found with T(p) = {target[hi > 1e18][0]}")
+            p[above] = brentq_array(lambda x, i: fn(x) - target[i], np.zeros_like(hi), hi,
+                                    xtol=1e-15, rtol=8.9e-16)
+            return p
 
     return KineticLaw(
         name=name,

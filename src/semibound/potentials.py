@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import MultiWellUnsupported, NoClassicalRegion, NotConfining, SemiboundError
+from .roots import brentq, minimize_bounded
 
 if TYPE_CHECKING:
     from .kinetics import BoundStateProblem
@@ -90,12 +90,17 @@ def from_callable(
     eval: Callable,
     minimum_location: Optional[float] = None,
 ) -> PotentialLaw:
-    """Wrap an opaque V(x); the minimum is located numerically when not given."""
+    """Wrap an opaque V(x); when not given, the minimum is found by Brent's bounded search.
+
+    A search that ends at +-SEARCH_WIDTH or runs out of evaluations is a ValueError.
+    """
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:
-        res = minimize_scalar(lambda x: float(fn(x)), bounds=(-SEARCH_WIDTH, SEARCH_WIDTH),
-                              method="bounded", options={"xatol": 1e-12})
-        minimum_location = float(res.x)
+        minimum_location, at_edge, capped = minimize_bounded(
+            lambda x: float(fn(x)), -SEARCH_WIDTH, SEARCH_WIDTH, xatol=1e-12)
+        if at_edge or capped:
+            raise ValueError(f"{name}: no minimum of V inside +-{SEARCH_WIDTH} (search "
+                             f"stopped at x = {minimum_location}); pass minimum_location")
     return PotentialLaw(
         name=name,
         eval=fn,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .classical import (Provenance, SampledDensity, classical_density, default_grid,
                         momentum_field, speed_field, well_layout)
@@ -187,6 +187,44 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
                      alpha=alpha, action_residual=float(abs(best.action - target)))
 
 
+def _spline_antiderivative(u: np.ndarray, y: np.ndarray) -> Callable:
+    """v -> integral from u[0] to v of the not-a-knot cubic spline through (u, y).
+
+    Operation for operation what scipy's CubicSpline(u, y).antiderivative()
+    computes and how its PPoly evaluates (powers of v - u[i], constant first).
+    """
+    if not np.all(np.isfinite(y)):
+        raise ValueError("`y` must contain only finite values.")
+    n, dx = len(u), np.diff(u)
+    slope = np.diff(y) / dx
+    ab, rhs = np.zeros((3, n)), np.empty((n, 1))
+    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
+    rhs[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d0, d1 = u[2] - u[0], u[-1] - u[-3]
+    ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
+    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)[:, 0]
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    # coefficients of (v - u[i])^1..4 on piece i; the constants accumulate left to right
+    c = np.stack((y[:-1], s[:-1] / 2, ((slope - s[:-1]) / dx - t) / 3, t / dx / 4), axis=1)
+    const = np.zeros(n - 1)
+    const[1:] = np.cumsum(c[:-1] * np.cumprod(np.repeat(dx[:-1, None], 4, axis=1), axis=1))[3::4]
+
+    def h(v):
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(u, v, side="right") - 1, 0, n - 2)
+        z = v - u[i]
+        out, zk = const[i], z
+        for k in range(4):
+            out = out + c[i, k] * zk
+            zk = zk * z
+        return out
+
+    return h
+
+
 def _half_well_phase(momentum: Callable, tp: float, x0: float, sqrt: bool) -> Callable:
     """x -> integral of p between the turning point tp and x, for x on tp's side of x0.
 
@@ -197,7 +235,7 @@ def _half_well_phase(momentum: Callable, tp: float, x0: float, sqrt: bool) -> Ca
     k, to_u = (2, np.sqrt) if sqrt else (1, np.asarray)
     inward = 1.0 if x0 > tp else -1.0
     u = np.linspace(0.0, to_u(abs(x0 - tp)), PHASE_SAMPLES)
-    h = CubicSpline(u, k * u ** (k - 1) * momentum(tp + inward * u ** k)).antiderivative()
+    h = _spline_antiderivative(u, k * u ** (k - 1) * momentum(tp + inward * u ** k))
     return lambda x: h(to_u(np.maximum(inward * (x - tp), 0.0)))
 
 

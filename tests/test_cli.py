@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -397,6 +400,10 @@ MALFORMED = {
     "unknown-validation-key": ("validation.pmax", 1.0, 2, 2, "'validation.pmax'"),
     "formats-empty": ("outputs.formats", [], 2, 2, "got []"),
     "formats-bare-string": ("outputs.formats", "csv", 2, 2, "got 'csv'"),
+    "directory-null": ("outputs.directory", None, 2, 2,
+                       "outputs.directory must be a non-empty string, got None"),
+    "directory-empty": ("outputs.directory", "", 2, 2, "got ''"),
+    "directory-number": ("outputs.directory", 7, 2, 2, "got 7"),
 }
 
 
@@ -445,3 +452,16 @@ def test_value_error_inside_solver_propagates(tmp_path, monkeypatch):
     path = write_config(tmp_path, OSCILLATOR_YAML)
     with pytest.raises(ValueError, match="defect inside the quantizer"):
         main(["solve", "--config", str(path), "--pipeline", "wkbj", "--out", str(tmp_path / "x")])
+
+
+def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
+    # the root finders and the phase spline are in-house: a CLI run pays only for scipy.linalg
+    code = ("import sys; from semibound.cli import main; "
+            f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', 'compare', "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'optimize'], ['scipy', 'interpolate'])))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"

@@ -117,3 +117,13 @@ def test_numeric_minimum_search():
     pot = potential_from_callable("offset", lambda x: (np.asarray(x) - 1.5) ** 2)
     assert pot.minimum_location == pytest.approx(1.5, abs=1e-8)
     assert pot.minimum_value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("centre", [150.0, -150.0])
+def test_minimum_outside_the_search_interval_is_refused(centre):
+    # the bounded search ends at the bound nearest the minimum instead of reporting it
+    with pytest.raises(ValueError, match="pass minimum_location"):
+        potential_from_callable("far", lambda x: (np.asarray(x) - centre) ** 2)
+    pot = potential_from_callable("far", lambda x: (np.asarray(x) - centre) ** 2,
+                                  minimum_location=centre)
+    assert pot.minimum_value == 0.0
