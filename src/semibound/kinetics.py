@@ -154,8 +154,7 @@ def from_callable(
                 hi[short] *= 2.0
                 if np.any(hi > 1e18):
                     raise ValueError(f"no momentum found with T(p) = {target[hi > 1e18][0]}")
-            p[above] = brentq_array(lambda x, i: fn(x) - target[i], np.zeros_like(hi), hi,
-                                    xtol=1e-15, rtol=8.9e-16)
+            p[above] = brentq_array(lambda x, i: fn(x) - target[i], np.zeros_like(hi), hi)
             return p
 
     return KineticLaw(

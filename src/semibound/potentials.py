@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .errors import MultiWellUnsupported, NoClassicalRegion, NotConfining, SemiboundError
-from .roots import brentq, minimize_bounded
+from .roots import brentq, golden_minimum
 
 if TYPE_CHECKING:
     from .kinetics import BoundStateProblem
@@ -90,15 +90,15 @@ def from_callable(
     eval: Callable,
     minimum_location: Optional[float] = None,
 ) -> PotentialLaw:
-    """Wrap an opaque V(x); when not given, the minimum is found by Brent's bounded search.
+    """Wrap an opaque V(x); when not given, the minimum is found by golden-section search.
 
-    A search that ends at +-SEARCH_WIDTH or runs out of evaluations is a ValueError.
+    A search that ends at +-SEARCH_WIDTH is a ValueError.
     """
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:
-        minimum_location, at_edge, capped = minimize_bounded(
-            lambda x: float(fn(x)), -SEARCH_WIDTH, SEARCH_WIDTH, xatol=1e-12)
-        if at_edge or capped:
+        minimum_location, at_edge = golden_minimum(lambda x: float(fn(x)),
+                                                   -SEARCH_WIDTH, SEARCH_WIDTH)
+        if at_edge:
             raise ValueError(f"{name}: no minimum of V inside +-{SEARCH_WIDTH} (search "
                              f"stopped at x = {minimum_location}); pass minimum_location")
     return PotentialLaw(
@@ -144,12 +144,8 @@ def turning_points(problem: "BoundStateProblem", E: float) -> TurningPoints:
     V = pot.eval
     x0 = pot.minimum_location
     f = lambda x: float(V(x)) - e_b
-    tol_root = 1e-15
-
-    lo, hi = _bracket_outward(V, x0, e_b, +1.0)
-    b = brentq(f, lo, hi, xtol=tol_root, rtol=8.9e-16)
-    lo, hi = _bracket_outward(V, x0, e_b, -1.0)
-    a = brentq(f, lo, hi, xtol=tol_root, rtol=8.9e-16)
+    b = brentq(f, *_bracket_outward(V, x0, e_b, +1.0))
+    a = brentq(f, *_bracket_outward(V, x0, e_b, -1.0))
 
     # reject anything that is not a single well: V must stay below E_B inside
     # and above E_B on a scan grid extending several well-widths outward

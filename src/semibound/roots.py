@@ -1,12 +1,11 @@
 """Bracketed root finding and bounded minimization in one variable.
 
 `brentq` is the Brent-Dekker iteration (Brent 1973, ch. 4) taken step for
-step as scipy.optimize.brentq takes it: the same xtol/rtol/maxiter, the same
-iterates and so the same root to the last bit. `brentq_array` takes the same
-steps on many independent brackets at once, under masks, and retires each
-element once it has converged. `minimize_bounded` is Brent's bounded
-minimizer (golden section with parabolic steps) as
-scipy.optimize.minimize_scalar(method="bounded") runs it.
+step as scipy.optimize.brentq takes it, so at the same xtol/rtol/maxiter it
+visits the same iterates and returns the same root to the last bit.
+`brentq_array` takes the same steps on many independent brackets at once,
+under masks, and retires each element once it has converged.
+`golden_minimum` is a golden-section search for a minimum on an interval.
 
 The package needs only these three routines, so it carries them itself
 rather than importing scipy.optimize, whose import (with scipy.interpolate,
@@ -20,36 +19,27 @@ from typing import Callable
 
 import numpy as np
 
-#: smallest relative tolerance brentq accepts: 4 machine epsilons
-RTOL_MIN = 4.0 * np.finfo(float).eps
+#: brentq and brentq_array stop once the bracket half-width is below (XTOL + RTOL*|x|)/2
+XTOL = 1e-15
+RTOL = 8.9e-16
 #: iteration cap of brentq and brentq_array
 MAXITER = 100
-#: function-evaluation cap of minimize_bounded
-MAXFUN = 500
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _check_tolerances(xtol: float, rtol: float) -> None:
-    if not xtol > 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if not rtol >= RTOL_MIN:
-        raise ValueError(f"rtol too small ({rtol:g} < {RTOL_MIN:g})")
+#: golden_minimum stops once its bracket is narrower than this
+XATOL = 1e-12
+_INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _nan_error(x) -> ValueError:
     return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float = 2e-12,
-           rtol: float = RTOL_MIN, maxiter: int = MAXITER) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """A root of f in [a, b], where f(a) and f(b) differ in sign.
 
-    Stops when the bracket half-width falls below (xtol + rtol*|x|)/2 or f
+    Stops when the bracket half-width falls below (XTOL + RTOL*|x|)/2 or f
     vanishes. Raises ValueError for a bracket without a sign change or a NaN
-    value of f, and RuntimeError when maxiter iterations do not converge.
+    value of f, and RuntimeError when MAXITER iterations do not converge.
     """
-    _check_tolerances(xtol, rtol)
 
     def value(x):
         fx = float(f(x))
@@ -66,7 +56,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float = 2e-
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -74,7 +64,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float = 2e-
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (XTOL + RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -97,12 +87,11 @@ def brentq(f: Callable[[float], float], a: float, b: float, *, xtol: float = 2e-
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations, value is {xcur}")
 
 
 def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 a: np.ndarray, b: np.ndarray, *, xtol: float = 2e-12,
-                 rtol: float = RTOL_MIN, maxiter: int = MAXITER) -> np.ndarray:
+                 a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Roots of independent problems on the brackets [a[i], b[i]] of 1-D arrays a and b.
 
     f(x, idx) returns the values of problems idx (an index array into a and
@@ -110,7 +99,6 @@ def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     on its own bracket, so each root equals the scalar one bit for bit.
     Raises as `brentq` does when any element would.
     """
-    _check_tolerances(xtol, rtol)
     root = np.array(b, dtype=float)
 
     def value(x, idx):
@@ -131,7 +119,7 @@ def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     xblk, fblk, spre, scur = (np.zeros_like(xcur) for _ in range(4))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(maxiter):
+        for _ in range(MAXITER):
             new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
             xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
             step = xcur - xpre
@@ -142,7 +130,7 @@ def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
                                 np.where(swap, fcur, fblk))
 
-            delta = (xtol + rtol * np.abs(xcur)) / 2
+            delta = (XTOL + RTOL * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
             done = (fcur == 0.0) | (np.abs(sbis) < delta)
             if np.any(done):
@@ -168,84 +156,27 @@ def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
             xcur = xcur + np.where(np.abs(scur) > delta, scur,
                                    np.where(sbis > 0, delta, -delta))
             fcur = value(xcur, idx)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[0]}")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations, value is {xcur[0]}")
 
 
-def minimize_bounded(f: Callable[[float], float], lo: float, hi: float, *,
-                     xatol: float = 1e-5, maxfun: int = MAXFUN) -> tuple:
-    """Brent's bounded minimization of f on [lo, hi].
+def golden_minimum(f: Callable[[float], float], lo: float, hi: float) -> tuple:
+    """(x, at_edge): a local minimum x of f on [lo, hi] by golden-section search.
 
-    Returns (x, ended_at_edge, capped): ended_at_edge says that x lies
-    within the final stopping tolerance sqrt(eps)*|x| + xatol/3 (doubled) of
-    lo or hi, where the search cannot tell a minimum from the bound itself;
-    capped says that maxfun evaluations were spent before convergence.
+    The bracket shrinks by 1/phi per evaluation until it is narrower than
+    XATOL (or a few ulp of its ends). at_edge says that x lies within that
+    final width of lo or hi, where a minimum cannot be told from the bound.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"need finite bounds lo <= hi, got ({lo}, {hi})")
     a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = float(f(xf))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    capped = False
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN * e
-
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu = float(f(x))
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > max(XATOL, 8 * math.ulp(max(abs(a), abs(b)))):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
         else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            capped = True
-            break
-
-    ended_at_edge = xf - lo <= tol2 or hi - xf <= tol2
-    return xf, ended_at_edge, capped
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, min(x - lo, hi - x) <= b - a

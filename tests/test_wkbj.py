@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 import semibound.wkbj
@@ -23,7 +24,7 @@ from semibound import (
 )
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
-from semibound.wkbj import wavefunction_values
+from semibound.wkbj import _spline_antiderivative, wavefunction_values
 
 from conftest import count_sign_changes
 
@@ -317,3 +318,18 @@ def test_phase_ends_at_action_and_zero(request, case, n):
     phi = semibound.wkbj._phase_spline(problem, state.energy, tps)([tps.a, tps.b])
     assert phi[0] == pytest.approx(action_integral(problem, state.energy, tps), rel=1e-12)
     assert phi[1] == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 17, 2049])
+@pytest.mark.parametrize("seed", range(5))
+def test_spline_antiderivative_equals_cubic_spline_bit_for_bit(n, seed):
+    rng = np.random.default_rng(seed)
+    # the phase spline's own even spacing, and uneven spacing over several decades
+    for u in (np.linspace(0.0, rng.uniform(0.1, 10.0), n),
+              np.cumsum(rng.uniform(1e-3, 1.0, n)) * 10.0 ** rng.uniform(-3, 3)):
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        span = u[-1] - u[0]
+        v = np.concatenate([u, [u[0] - 0.3 * span, u[-1] + 0.3 * span, u[0] - 1e-12],
+                            rng.uniform(u[0], u[-1], 200)])
+        want = CubicSpline(u, y).antiderivative()(v)
+        assert np.array_equal(_spline_antiderivative(u, y)(v), want)
