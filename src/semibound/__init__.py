@@ -23,7 +23,6 @@ from .compare import (
     debroglie_average,
     density_distance,
     export,
-    local_average,
 )
 from .errors import (
     ConfigError,
@@ -42,7 +41,6 @@ from .errors import (
     QuadratureNotConverged,
     SemiboundError,
     StateRangeMismatch,
-    WindowTooWide,
 )
 from .fgh import (
     FghConfig,

@@ -69,6 +69,13 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _float(value, where: str) -> float:
+    """A YAML number or numeric string (PyYAML reads 1e-3 as one); a bool is a ConfigError."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _known(section, keys: tuple, where: str = "") -> dict:
     """section as a dict ({} when absent or null); a key not in keys is a ConfigError naming it."""
     section = dict(section or {})
@@ -94,7 +101,7 @@ def _law_params(problem: dict, key: str, registry: dict) -> tuple:
     if kind not in registry:
         raise ConfigError(f"problem.{key}.kind '{kind}' not one of {sorted(registry)}")
     _known(section, ("kind",) + registry[kind][1], f"problem.{key}.")
-    return kind, {k: float(v) for k, v in section.items() if k != "kind"}
+    return kind, {k: _float(v, f"problem.{key}.{k}") for k, v in section.items() if k != "kind"}
 
 
 def parse_config(path) -> RunConfig:
@@ -116,7 +123,7 @@ def parse_config(path) -> RunConfig:
         kin_kind, kinetic_params = _law_params(problem, "kinetic", KINETIC_KINDS)
         pot_kind, potential_params = _law_params(problem, "potential", POTENTIAL_KINDS)
         _known(problem, ("kinetic", "potential", "hbar"), "problem.")
-        hbar = float(problem.get("hbar", 1.0))
+        hbar = _float(problem.get("hbar", 1.0), "problem.hbar")
         if not 0 < hbar < np.inf:
             raise ConfigError(f"problem.hbar must be positive and finite, got {hbar}")
 
@@ -136,7 +143,7 @@ def parse_config(path) -> RunConfig:
         if box != "auto":
             if not (isinstance(box, (list, tuple)) and len(box) == 2):
                 raise ConfigError("fgh.box must be 'auto' or [x_min, x_max]")
-            box = (float(box[0]), float(box[1]))
+            box = (_float(box[0], "fgh.box"), _float(box[1], "fgh.box"))
         fgh_cfg = fgh.FghConfig(
             n_points=_int(fgh_raw.get("n_points", 513), "fgh.n_points"),
             box=box,
@@ -158,7 +165,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"outputs.grid_points must be >= 3, got {grid_points}")
 
         validation = _known(raw.get("validation"), ("p_max", "n_samples"), "validation.")
-        p_max = float(validation.get("p_max", 5.0))
+        p_max = _float(validation.get("p_max", 5.0), "validation.p_max")
         n_samples = _int(validation.get("n_samples", 2048), "validation.n_samples")
         if not 0 < p_max < np.inf or n_samples < 4:  # condition C needs 2 positive samples
             raise ConfigError(f"validation needs a finite p_max > 0 and n_samples >= 4, "
@@ -254,9 +261,9 @@ def _fgh(problem, config: RunConfig, ns: list) -> tuple:
 
 
 def _compare(problem, config: RunConfig, ns: list) -> tuple:
-    report, densities = compare.build_report(problem, ns, config.fgh, config_echo=config.echo)
+    report, densities = compare.build_report(problem, ns, config.fgh)
     rows, doc = compare.report_tables(report)
-    return rows, densities, doc
+    return rows, densities, {"config": config.echo, **doc}
 
 
 #: pipeline -> (summary.csv columns, runner returning (rows, densities, JSON document))
@@ -270,15 +277,17 @@ PIPELINES = tuple(_PIPELINES)
 
 
 def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -> list:
-    """Run one pipeline and write its outputs; returns the written paths."""
+    """Run one pipeline, writing into out_dir (None: config.out_dir); returns the paths."""
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got '{pipeline}'")
+    out_dir = config.out_dir if out_dir is None else out_dir
+    if out_dir == "":
+        raise ConfigError("outputs.directory must be a non-empty string, got ''")
     problem = build_problem(config)
     _admissibility(problem.kinetic, config)
     header, runner = _PIPELINES[pipeline]
     rows, densities, doc = runner(problem, config, sorted(set(config.states)))
-    return compare.write_outputs(header, rows, doc, densities, config.formats,
-                                 out_dir or config.out_dir)
+    return compare.write_outputs(header, rows, doc, densities, config.formats, out_dir)
 
 
 def main(argv=None) -> int:

@@ -2,24 +2,23 @@
 
 Produces per-state eigenvalue error tables, density distances (L1 and
 interior sup-norm) and deterministic CSV/JSON exports. Quantum densities are
-smoothed either with a fixed boxcar (`local_average`) or with a boxcar whose
-width follows the local de Broglie oscillation period (`debroglie_average`);
-the latter is what the comparison pipeline uses, since a fixed window cannot
-track the oscillation period growing toward the turning points.
+smoothed with a boxcar whose width follows the local de Broglie oscillation
+period (`debroglie_average`), since a fixed window cannot track the
+oscillation period growing toward the turning points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .classical import SampledDensity, classical_density, momentum_field
-from .errors import GridMismatch, StateRangeMismatch, WindowTooWide
+from .errors import GridMismatch, StateRangeMismatch
 from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
 from .potentials import turning_points
@@ -51,11 +50,9 @@ class DensityMetrics:
 class ComparisonReport:
     per_state: tuple
     density_metrics: tuple = ()
-    config_echo: dict = field(default_factory=dict)
 
 
-def compare_spectra(fgh_spectrum: Spectrum, wkbj_states: Iterable[WkbjState],
-                    config_echo: Optional[dict] = None) -> ComparisonReport:
+def compare_spectra(fgh_spectrum: Spectrum, wkbj_states: Iterable[WkbjState]) -> ComparisonReport:
     """Per-state relative eigenvalue errors |E_fgh - E_wkbj| / |E_fgh|."""
     rows = []
     n_available = len(fgh_spectrum.states)
@@ -71,7 +68,7 @@ def compare_spectra(fgh_spectrum: Spectrum, wkbj_states: Iterable[WkbjState],
             relative_error=abs(e_fgh - state.energy) / abs(e_fgh),
             alpha=state.alpha,
         ))
-    return ComparisonReport(per_state=tuple(rows), config_echo=config_echo or {})
+    return ComparisonReport(per_state=tuple(rows))
 
 
 def _uniform_spacing(grid: np.ndarray) -> float:
@@ -97,32 +94,6 @@ def _masked_boxcar(values: np.ndarray, half_widths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _renormalized(density: SampledDensity, values: np.ndarray) -> SampledDensity:
-    return replace(density, values=values / replace(density, values=values).integral())
-
-
-def local_average(density: SampledDensity, window: Union[float, str] = "auto") -> SampledDensity:
-    """Fixed-width moving average; auto window is d/(n + 1/2).
-
-    Window 0 returns the density unchanged. The result is renormalized to
-    unit integral over the original normalization domain.
-    """
-    if window == "auto":
-        if density.support is None or density.n is None:
-            raise ValueError("auto window needs a density with support and quantum number")
-        window = density.support.d / (density.n + 0.5)
-    if window == 0:
-        return density
-    span = density.support.d if density.support is not None else (
-        density.grid[-1] - density.grid[0])
-    if window > span:
-        raise WindowTooWide(f"window {window} exceeds support length {span}")
-    dx = _uniform_spacing(density.grid)
-    half = max(int(round(window / dx)) // 2, 0)
-    smoothed = _masked_boxcar(density.values, np.full(len(density.grid), half, dtype=int))
-    return _renormalized(density, smoothed)
-
-
 def debroglie_average(problem: BoundStateProblem, energy: float,
                       density: SampledDensity) -> SampledDensity:
     """Moving average matched to the local density-oscillation period.
@@ -131,7 +102,7 @@ def debroglie_average(problem: BoundStateProblem, energy: float,
     pi*hbar / T^-1(E - V(x)); averaging over exactly that window removes the
     oscillation everywhere it is resolved. The width is capped at
     MAX_WINDOW_FRACTION * d (also used outside the classical region, where
-    no period is defined).
+    no period is defined). The result is renormalized to unit integral.
     """
     tps = density.support or turning_points(problem, energy)
     dx = _uniform_spacing(density.grid)
@@ -144,7 +115,7 @@ def debroglie_average(problem: BoundStateProblem, energy: float,
         widths[inside] = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300), w_max)
     half = (widths / (2.0 * dx)).astype(int)
     smoothed = _masked_boxcar(density.values, half)
-    return _renormalized(density, smoothed)
+    return replace(density, values=smoothed / replace(density, values=smoothed).integral())
 
 
 def density_distance(d1: SampledDensity, d2: SampledDensity,
@@ -177,9 +148,7 @@ def density_distance(d1: SampledDensity, d2: SampledDensity,
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def build_report(problem: BoundStateProblem, ns: Sequence[int],
-                 fgh_config: Optional[FghConfig] = None,
-                 config_echo: Optional[dict] = None):
+def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghConfig):
     """Full comparison pipeline: spectra, densities on the FGH grid, metrics.
 
     Returns (report, densities): the densities are the per-state classical,
@@ -188,15 +157,14 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int],
     smoothed-FGH metric uses each FGH state's own energy.
     """
     ns = sorted(set(int(n) for n in ns))
-    cfg = fgh_config or FghConfig()
-    cfg = replace(cfg, n_states=max(cfg.n_states, max(ns) + 1))
+    cfg = replace(fgh_config, n_states=max(fgh_config.n_states, max(ns) + 1))
     wkbj_states = [quantize(problem, n) for n in ns]
     top = wkbj_states[-1]
     if cfg.box == "auto" and top.n == cfg.n_states - 1:
         # the auto box comes from this very level: reuse its turning points
         cfg = replace(cfg, box=padded_box(top.turning_points))
     spectrum = solve(problem, cfg)
-    report = compare_spectra(spectrum, wkbj_states, config_echo)
+    report = compare_spectra(spectrum, wkbj_states)
 
     densities = []
     metrics = []
@@ -299,7 +267,7 @@ def report_tables(report: ComparisonReport) -> tuple:
     metrics = [asdict(m) for m in report.density_metrics]
     by_n = {m["n"]: m for m in metrics}
     rows = [{**dict.fromkeys(SUMMARY_HEADER), **by_n.get(r["n"], {}), **r} for r in per_state]
-    doc = {"config": report.config_echo, "per_state": per_state, "density_metrics": metrics}
+    doc = {"per_state": per_state, "density_metrics": metrics}
     return rows, doc
 
 

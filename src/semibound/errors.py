@@ -43,10 +43,6 @@ class StateRangeMismatch(SemiboundError):
     """Spectra to compare do not cover the same quantum numbers."""
 
 
-class WindowTooWide(SemiboundError):
-    """Averaging window exceeds the density support."""
-
-
 class GridMismatch(SemiboundError):
     """Densities to compare are not tabulated on the same grid."""
 

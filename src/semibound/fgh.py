@@ -20,7 +20,7 @@ immaterial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -124,11 +124,8 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     return np.fft.fft(c).real / N
 
 
-def build_hamiltonian(problem: BoundStateProblem, config: FghConfig,
-                      grid: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense real symmetric N x N Hamiltonian on the configured grid."""
-    if grid is None:
-        grid = resolve_grid(problem, config)
+def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
+    """Dense real symmetric N x N Hamiltonian on a uniform grid (see resolve_grid)."""
     dx = grid[1] - grid[0]
     K = kinetic_kernel(problem, len(grid), dx)
     H = scipy.linalg.toeplitz(K)
@@ -164,7 +161,7 @@ def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """
     grid = resolve_grid(problem, config)
     dx = grid[1] - grid[0]
-    H = build_hamiltonian(problem, config, grid)
+    H = build_hamiltonian(problem, grid)
     _require_finite(H, grid)
     # H is exactly symmetric, so H.T is a Fortran-ordered view of the same
     # matrix: LAPACK overwrites it in place instead of working on a copy

@@ -75,7 +75,7 @@ def _clamped_inverse(raw: Callable, rest: float) -> Callable:
     return inverse
 
 
-def nonrelativistic(m: float = 1.0) -> KineticLaw:
+def nonrelativistic(m: float) -> KineticLaw:
     """T(p) = p^2 / (2m)."""
     if not 0 < m < np.inf:
         raise ValueError(f"mass must be positive and finite, got {m}")

@@ -58,7 +58,7 @@ def linear(lam: float) -> PotentialLaw:
     )
 
 
-def harmonic(mass: float = 1.0, omega: float = 1.0) -> PotentialLaw:
+def harmonic(mass: float, omega: float) -> PotentialLaw:
     """V(x) = (1/2) * mass * omega^2 * x^2."""
     # float products overflow to inf and underflow to 0 without raising
     k = 0.5 * mass * (omega * omega)

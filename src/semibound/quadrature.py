@@ -44,12 +44,11 @@ def composite_gauss(f: Callable, lo: float, hi: float, panels: int) -> float:
     return float(np.sum(y * _WEIGHTS[None, :] * half[:, None]))
 
 
-def adaptive_gauss(f: Callable, lo: float, hi: float, *,
-                   max_nodes: int = MAX_NODES) -> float:
+def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
     """Double the panel count until successive finite estimates agree to REL_TOL.
 
     Raises QuadratureNotConverged when the next doubling would exceed
-    max_nodes. A non-finite estimate never counts as agreement.
+    MAX_NODES. A non-finite estimate never counts as agreement.
     """
     if hi == lo:
         return 0.0
@@ -61,9 +60,9 @@ def adaptive_gauss(f: Callable, lo: float, hi: float, *,
         if (math.isfinite(cur) and math.isfinite(prev)
                 and abs(cur - prev) <= REL_TOL * max(abs(cur), abs(prev))):
             return cur
-        if panels * 2 * PANEL_ORDER > max_nodes:
+        if panels * 2 * PANEL_ORDER > MAX_NODES:
             raise QuadratureNotConverged(
-                f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {max_nodes} nodes "
+                f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {MAX_NODES} nodes "
                 f"per level: last estimates {prev!r}, {cur!r}")
         prev = cur
 

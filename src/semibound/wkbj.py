@@ -52,19 +52,16 @@ class WkbjState:
 
 
 def action_integral(problem: BoundStateProblem, E: float,
-                    tps: Optional[TurningPoints] = None, *,
-                    with_slope: bool = False):
-    """A(E) = integral of T^-1(E - V(x)) over the classical region.
+                    tps: Optional[TurningPoints] = None) -> tuple:
+    """(A, dA/dE) from one pass, A(E) = integral of T^-1(E - V(x)) over the classical region.
 
-    with_slope=True returns (A, dA/dE) from one pass: the slope is the
-    half-period integral of 1/|v(x)| = tau/2, taken on the coarsest rule of
-    A's own nodes. It is an estimate for root finding, not a period.
+    The slope is the half-period integral of 1/|v(x)| = tau/2, taken on the
+    coarsest rule of A's own nodes. It is an estimate for root finding, not
+    a period.
     """
     tps = tps or turning_points(problem, E)
     momentum = momentum_field(problem, E)
     layout = well_layout(problem)
-    if not with_slope:
-        return well_integral(momentum, tps.a, tps.b, *layout)
     speed = speed_field(problem, E)
 
     def inverse_speed(x):
@@ -101,7 +98,7 @@ class _Probe(NamedTuple):
 
 def _probe(problem: BoundStateProblem, E: float) -> _Probe:
     tps = turning_points(problem, E)
-    return _Probe(E, tps, *action_integral(problem, E, tps, with_slope=True))
+    return _Probe(E, tps, *action_integral(problem, E, tps))
 
 
 def _newton_energy(e_lo: float, point: _Probe, target: float) -> Optional[float]:

@@ -134,6 +134,34 @@ def test_compare_pipeline_and_exit_codes(tmp_path):
     assert 3e-5 < errs[15] < 3e-4
 
 
+def test_compare_report_echoes_the_parsed_config(tmp_path):
+    # the CLI adds the YAML mapping to the library report under "config"
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    assert main(["solve", "--config", str(path), "--pipeline", "compare",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    doc = json.loads((tmp_path / "cmp" / "report.json").read_text())
+    assert doc["config"] == yaml.safe_load(OSCILLATOR_YAML)
+
+
+def test_exponent_without_dot_is_a_number(tmp_path):
+    # PyYAML reads 1e-3 as the string '1e-3'; it is still a valid mass
+    path = write_config(tmp_path, OSCILLATOR_YAML.replace("m: 1.0}", "m: 1e-3}"))
+    assert yaml.safe_load(path.read_text())["problem"]["kinetic"]["m"] == "1e-3"
+    assert parse_config(path).kinetic_params == {"m": 1e-3}
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "x")]) == 0
+
+
+def test_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # only an absent --out falls back to outputs.directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh", "--out", ""]) == 2
+    assert "outputs.directory must be a non-empty string, got ''" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_code_2_on_bad_config(tmp_path):
     path = write_config(tmp_path, "problem: [not, a, mapping]\nstates: [0]")
     assert main(["solve", "--config", str(path), "--pipeline", "wkbj"]) == 2
@@ -404,6 +432,17 @@ MALFORMED = {
                        "outputs.directory must be a non-empty string, got None"),
     "directory-empty": ("outputs.directory", "", 2, 2, "got ''"),
     "directory-number": ("outputs.directory", 7, 2, 2, "got 7"),
+    "mass-bool": ("problem.kinetic.m", True, 2, 2, "problem.kinetic.m must be a number, got True"),
+    "omega-bool": ("problem.potential.omega", True, 2, 2,
+                   "problem.potential.omega must be a number, got True"),
+    "hbar-bool": ("problem.hbar", True, 2, 2, "problem.hbar must be a number, got True"),
+    "box-bool": ("fgh.box", [True, 4], 2, 2, "fgh.box must be a number, got True"),
+    "p_max-bool": ("validation.p_max", True, 2, 2,
+                   "validation.p_max must be a number, got True"),
+    "nonrelativistic-no-mass": ("problem.kinetic", {"kind": "nonrelativistic"}, 3, 3, "'m'"),
+    "harmonic-no-mass": ("problem.potential", {"kind": "harmonic", "omega": 1.0}, 0, 2, "'mass'"),
+    "harmonic-no-omega": ("problem.potential", {"kind": "harmonic", "mass": 1.0}, 0, 2,
+                          "'omega'"),
 }
 
 

@@ -11,19 +11,17 @@ from semibound import (
     Provenance,
     SampledDensity,
     StateRangeMismatch,
-    WindowTooWide,
     build_report,
     compare_spectra,
     debroglie_average,
     density_distance,
     export,
-    local_average,
     quantize,
     solve,
     wkbj_averaged_density,
     wkbj_wavefunction,
 )
-from semibound.compare import write_density_tables, write_outputs
+from semibound.compare import _masked_boxcar, write_density_tables, write_outputs
 from semibound.potentials import TurningPoints
 
 
@@ -66,35 +64,19 @@ def test_distance_restricted_to_support_overlap():
     assert density_distance(a, b) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_local_average_constant_fixed_point():
-    d = _density(np.full(101, 0.5))
-    out = local_average(d, 0.3)
-    assert np.allclose(out.values, 0.5, rtol=1e-12)
+def local_average(density):
+    """The fixed-window baseline: a boxcar of width d/(n + 1/2), renormalized to unit integral."""
+    dx = density.grid[1] - density.grid[0]
+    half = int(round(density.support.d / (density.n + 0.5) / dx)) // 2
+    smoothed = _masked_boxcar(density.values, np.full(len(density.grid), half))
+    return replace(density, values=smoothed / replace(density, values=smoothed).integral())
 
 
-def test_local_average_zero_window_identity():
-    d = _density(np.linspace(0.0, 1.0, 101))
-    out = local_average(d, 0)
-    assert out is d
-
-
-def test_local_average_too_wide():
-    d = _density(np.ones(101), support=TurningPoints(-1.0, 1.0))
-    with pytest.raises(WindowTooWide):
-        local_average(d, 2.5)
-
-
-def test_local_average_auto_needs_metadata():
-    d = _density(np.ones(101))
-    with pytest.raises(ValueError):
-        local_average(d, "auto")
-
-
-def test_local_average_preserves_normalization(benchmark_a):
+def test_debroglie_average_preserves_normalization(benchmark_a):
     state = quantize(benchmark_a, 9)
     spec = solve(benchmark_a, FghConfig(n_points=513, n_states=10))
     rho = wkbj_wavefunction(benchmark_a, state, grid=spec.grid)
-    out = local_average(rho, "auto")
+    out = debroglie_average(benchmark_a, state.energy, rho)
     assert out.integral() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -108,7 +90,7 @@ def test_fixed_auto_window_partially_removes_oscillation(benchmark_a):
     rho_w = wkbj_wavefunction(benchmark_a, state, grid=spec.grid)
     rho_avg = wkbj_averaged_density(benchmark_a, state, grid=spec.grid)
     raw = density_distance(rho_w, rho_avg)
-    fixed = density_distance(local_average(rho_w, "auto"), rho_avg)
+    fixed = density_distance(local_average(rho_w), rho_avg)
     adaptive = density_distance(
         debroglie_average(benchmark_a, state.energy, rho_w), rho_avg)
     assert fixed < 0.6 * raw
@@ -226,11 +208,10 @@ def test_summary_text_is_pinned(tmp_path):
 def test_json_report_structure(tmp_path, benchmark_a):
     import json
 
-    report, densities = build_report(benchmark_a, [0], FghConfig(n_points=257),
-                                     config_echo={"tag": "unit"})
+    report, densities = build_report(benchmark_a, [0], FghConfig(n_points=257))
     export(report, densities, ["json"], tmp_path)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["config"] == {"tag": "unit"}
+    assert set(doc) == {"per_state", "density_metrics"}
     assert doc["per_state"][0]["n"] == 0
     assert set(doc["per_state"][0]) == {
         "n", "energy_fgh", "energy_wkbj", "relative_error", "alpha"}

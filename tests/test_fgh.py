@@ -75,8 +75,8 @@ def test_zero_kinetic_gives_diagonal_potential():
                                  inverse=lambda y: 0.0 * np.asarray(y))
     prob = BoundStateProblem(zero, harmonic(1.0, 1.0))
     cfg = FghConfig(n_points=65, box=(-4.0, 4.0), n_states=4)
-    H = build_hamiltonian(prob, cfg)
     grid = resolve_grid(prob, cfg)
+    H = build_hamiltonian(prob, grid)
     assert np.allclose(H, np.diag(grid**2 / 2), atol=1e-14)
 
 
@@ -102,7 +102,7 @@ def test_zero_potential_eigenvalues_are_kinetic_samples():
     prob = BoundStateProblem(relativistic(0.2), flat)
     N = 33
     cfg = FghConfig(n_points=N, box=(-8.0, 8.0), n_states=N // 2)
-    H = build_hamiltonian(prob, cfg)
+    H = build_hamiltonian(prob, resolve_grid(prob, cfg))
     dx = 16.0 / N
     k = np.arange(-(N - 1) // 2, (N - 1) // 2 + 1)
     expected = np.sort(np.sqrt((2 * np.pi * k / (N * dx)) ** 2 + 0.04))
@@ -110,13 +110,15 @@ def test_zero_potential_eigenvalues_are_kinetic_samples():
 
 
 def test_hamiltonian_symmetric(benchmark_a):
-    H = build_hamiltonian(benchmark_a, FghConfig(n_points=129, box=(-20, 20)))
+    cfg = FghConfig(n_points=129, box=(-20, 20))
+    H = build_hamiltonian(benchmark_a, resolve_grid(benchmark_a, cfg))
     assert np.max(np.abs(H - H.T)) <= 1e-12 * np.max(np.abs(H))
 
 
 def test_even_grid_rejected(benchmark_a):
     with pytest.raises(OddGridRequired):
-        build_hamiltonian(benchmark_a, FghConfig(n_points=128, box=(-20, 20)))
+        cfg = FghConfig(n_points=128, box=(-20, 20))
+        build_hamiltonian(benchmark_a, resolve_grid(benchmark_a, cfg))
 
 
 def test_too_few_points_rejected(benchmark_a):
@@ -170,7 +172,7 @@ def test_partial_solve_matches_full_diagonalisation(benchmark_a, n_points, n_sta
     # (9, 4) is the smallest grid resolve_grid accepts: N = 2 * n_states + 1
     cfg = FghConfig(n_points=n_points, n_states=n_states)
     spectrum = solve(benchmark_a, cfg)
-    energies, vectors = np.linalg.eigh(build_hamiltonian(benchmark_a, cfg))
+    energies, vectors = np.linalg.eigh(build_hamiltonian(benchmark_a, resolve_grid(benchmark_a, cfg)))
     assert np.allclose(spectrum.energies, energies[:n_states], rtol=1e-12, atol=0)
     dx = spectrum.grid[1] - spectrum.grid[0]
     psi = np.column_stack([s.wavefunction for s in spectrum.states])
@@ -253,7 +255,7 @@ def test_in_place_solve_is_repeatable(benchmark_a):
     assert np.array_equal(first.energies, second.energies)
     for a, b in zip(first.states, second.states):
         assert np.array_equal(a.wavefunction, b.wavefunction)
-    H = build_hamiltonian(benchmark_a, cfg)
+    H = build_hamiltonian(benchmark_a, resolve_grid(benchmark_a, cfg))
     assert np.array_equal(H, H.T)
 
 

@@ -1,4 +1,5 @@
-"""The column comparison of tools/golden_diff.py, on two tiny output trees (no git, no CLI)."""
+"""The column comparison and the src line counter of tools/golden_diff.py, on tiny trees
+(no git, no CLI)."""
 
 import importlib.util
 import math
@@ -50,3 +51,12 @@ def test_header_change_is_reported(tmp_path):
     old = _tree(tmp_path / "old", {"d.csv": "x,rho_cl\n0,1\n"})
     new = _tree(tmp_path / "new", {"d.csv": "x,rho_fgh\n0,1\n"})
     assert golden_diff.column_deltas(old / "d.csv", new / "d.csv") == {"header": math.inf}
+
+
+def test_src_lines_counts_package_modules_like_wc(tmp_path):
+    tree = _tree(tmp_path, {"src/semibound/a.py": "x = 1\ny = 2\n",
+                            "src/semibound/b.py": "z = 3",  # no final newline: wc -l says 0
+                            "src/semibound/notes.txt": "not\ncounted\n",
+                            "src/semibound/sub/c.py": "not counted\n",
+                            "tests/test_a.py": "not counted\n"})
+    assert golden_diff.src_lines(tree) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semibound.quadrature
 from semibound import QuadratureNotConverged
 from semibound.quadrature import (
     PANEL_ORDER,
@@ -57,18 +58,20 @@ def test_empty_interval():
     assert adaptive_gauss(np.exp, 1.0, 1.0) == 0.0
 
 
-def test_infinite_integrand_raises_at_budget():
+def test_infinite_integrand_raises_at_budget(monkeypatch):
+    monkeypatch.setattr(semibound.quadrature, "MAX_NODES", 2**12)
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss(lambda x: np.full_like(x, np.inf), 0.0, 1.0, max_nodes=2**12)
+        adaptive_gauss(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
 
 
-def test_infinite_estimate_never_agrees_with_finite():
+def test_infinite_estimate_never_agrees_with_finite(monkeypatch):
     # finite on the coarsest level only: a finite-vs-inf pair must not pass
     # as agreement, and the inf levels that follow run into the budget
     coarse = START_PANELS * PANEL_ORDER
     f = lambda x: np.ones_like(x) if x.size == coarse else np.full_like(x, np.inf)
+    monkeypatch.setattr(semibound.quadrature, "MAX_NODES", 2**12)
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss(f, 0.0, 1.0, max_nodes=2**12)
+        adaptive_gauss(f, 0.0, 1.0)
 
 
 def test_pair_matches_separate_integrals():

@@ -9,7 +9,9 @@ PYTHONPATH=<tree>/src and PYTHONDONTWRITEBYTECODE=1, writing into the same
 temporary directory. The two output trees are then compared file by file.
 For each CSV whose bytes differ, the worst |new - old| / max|old| of every
 column is printed. Exit status 0 only when both trees hold the same files with
-the same bytes; nothing is written outside the temporary directory.
+the same bytes; nothing is written outside the temporary directory. The line
+totals of src/semibound/*.py at REV and in the working tree are printed too,
+so a refactor can show in one run that src/ shrank and no output moved.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def run_pipelines(tree: Path, out_root: Path) -> None:
                  "--config", str(REPO / "configs" / f"{cfg}.yaml"),
                  "--pipeline", pipeline, "--out", str(out_root / f"{cfg}-{pipeline}")],
                 env=env, cwd=out_root, check=True, stdout=subprocess.DEVNULL)
+
+
+def src_lines(tree: Path) -> int:
+    """Line total of tree/src/semibound/*.py, counted as `wc -l` does (newlines)."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "semibound").glob("*.py"))
 
 
 def _cell(text: str) -> float:
@@ -114,7 +121,9 @@ def main(argv=None) -> int:
             (root / f"out-{side}").mkdir()
             run_pipelines(tree, root / f"out-{side}")
         total, identical, lines = compare_trees(root / "out-rev", root / "out-tree")
-    print("\n".join(lines + [f"{identical}/{total} files byte-identical to {args.rev}"]))
+        sizes = (f"src/semibound/*.py: {src_lines(root / 'rev')} lines at {args.rev}, "
+                 f"{src_lines(REPO)} in the working tree")
+    print("\n".join(lines + [sizes, f"{identical}/{total} files byte-identical to {args.rev}"]))
     return 0 if identical == total else 1
 
 
