@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -37,6 +37,9 @@ POTENTIAL_KINDS = {
 }
 
 _PARAM_RENAME = {"lambda": "lam"}
+
+#: libyaml's safe loader where PyYAML was built with it (about 5x faster), else the Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -70,10 +73,11 @@ def _int(value, where: str) -> int:
 
 
 def _float(value, where: str) -> float:
-    """A YAML number or numeric string (PyYAML reads 1e-3 as one); a bool is a ConfigError."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    """A YAML number or numeric string (PyYAML reads 1e-3 as one); else a ConfigError naming it."""
+    if not isinstance(value, bool):
+        with suppress(TypeError, ValueError):
+            return float(value)
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def _known(section, keys: tuple, where: str = "") -> dict:
@@ -111,7 +115,7 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"YAML parse error in {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -277,7 +281,10 @@ PIPELINES = tuple(_PIPELINES)
 
 
 def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -> list:
-    """Run one pipeline, writing into out_dir (None: config.out_dir); returns the paths."""
+    """Run one pipeline, writing into out_dir (None: config.out_dir); returns the paths.
+
+    out_dir is created before the pipeline runs; one that cannot be is a ConfigError.
+    """
     if pipeline not in PIPELINES:
         raise ConfigError(f"pipeline must be one of {PIPELINES}, got '{pipeline}'")
     out_dir = config.out_dir if out_dir is None else out_dir
@@ -285,6 +292,10 @@ def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -
         raise ConfigError("outputs.directory must be a non-empty string, got ''")
     problem = build_problem(config)
     _admissibility(problem.kinetic, config)
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
     header, runner = _PIPELINES[pipeline]
     rows, densities, doc = runner(problem, config, sorted(set(config.states)))
     return compare.write_outputs(header, rows, doc, densities, config.formats, out_dir)

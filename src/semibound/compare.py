@@ -211,6 +211,20 @@ def _write_lines(path: Path, lines: Iterable[str]) -> Path:
     return path
 
 
+def _table_text(table: np.ndarray) -> str:
+    """CSV rows of a 2-D float table, each cell as `_fmt` writes a float.
+
+    One %-format renders every cell with 17 significant digits; the
+    non-finite ones, which it spells inf, -inf or nan (tokens no finite
+    cell contains), then become null.
+    """
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    text = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    for token in ("-inf", "inf", "nan"):
+        text = text.replace(token, "null")
+    return text
+
+
 def write_density_tables(densities: Sequence[SampledDensity],
                          out_dir: Union[str, Path]) -> list:
     """One CSV per quantum number with an x column plus one column per route."""
@@ -222,10 +236,12 @@ def write_density_tables(densities: Sequence[SampledDensity],
     for n in sorted(k for k in by_state if k is not None):
         group = by_state[n]
         header = ",".join(["x"] + [rho.provenance.value for rho in group])
-        columns = [group[0].grid] + [rho.values for rho in group]
-        cells = [list(map(_fmt, column.tolist())) for column in columns]
-        written.append(_write_lines(out / f"density_n{n:03d}.csv",
-                                    [header] + [",".join(row) for row in zip(*cells)]))
+        table = np.column_stack([group[0].grid] + [rho.values for rho in group])
+        path = out / f"density_n{n:03d}.csv"
+        with path.open("w", encoding="utf-8") as f:
+            f.write(header + "\n")
+            f.write(_table_text(table))
+        written.append(path)
     return written
 
 

@@ -2,11 +2,15 @@
 
 Turning points a < b at energy E are the two solutions of V(x) = E_B where
 E_B = E - T(0) is the binding energy. Only single wells (exactly two turning
-points) are supported.
+points) are supported. Each well carries its own solver for V(x) = E_B: the
+built-in wells invert in closed form, scaling E_B by the reciprocal of their
+coefficient (computed once), and an opaque V(x) is solved by Brent's method
+and then checked to be a single well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -24,10 +28,16 @@ SEARCH_WIDTH = 100.0
 
 @dataclass(frozen=True)
 class PotentialLaw:
-    """Singularity-free confining potential V(x)."""
+    """Singularity-free confining potential V(x).
+
+    eval    : x -> V(x), vectorized over position arrays
+    inverse : E_B -> (a, b), the roots of V(x) = E_B either side of the
+              minimum, for E_B above the minimum value
+    """
 
     name: str
     eval: Callable
+    inverse: Callable
     minimum_location: float
     minimum_value: float
 
@@ -46,13 +56,20 @@ class TurningPoints:
         return self.b - self.a
 
 
+def _mirrored(r: float) -> tuple:
+    """(-r, r): the roots of a well even about its minimum at 0."""
+    return -r, r
+
+
 def linear(lam: float) -> PotentialLaw:
     """V(x) = lam * |x|."""
     if not 0 < lam < np.inf:
         raise ValueError(f"slope must be positive and finite, got {lam}")
+    inv_lam = 1.0 / lam
     return PotentialLaw(
         name="linear",
         eval=lambda x: lam * np.abs(np.asarray(x, dtype=float)),
+        inverse=lambda e_b: _mirrored(e_b * inv_lam),
         minimum_location=0.0,
         minimum_value=0.0,
     )
@@ -65,9 +82,11 @@ def harmonic(mass: float, omega: float) -> PotentialLaw:
     if not (0 < mass < np.inf and 0 < omega < np.inf and 0 < k < np.inf):
         raise ValueError(f"mass and omega must be positive and finite with "
                          f"0 < 0.5*mass*omega^2 < inf, got {mass}, {omega}")
+    inv_k = 1.0 / k
     return PotentialLaw(
         name="harmonic",
         eval=lambda x: k * np.asarray(x, dtype=float) ** 2,
+        inverse=lambda e_b: _mirrored(math.sqrt(e_b * inv_k)),
         minimum_location=0.0,
         minimum_value=0.0,
     )
@@ -77,9 +96,11 @@ def power(c: float, q: float) -> PotentialLaw:
     """V(x) = c * |x|^q with q >= 1."""
     if not (0 < c < np.inf and 1 <= q < np.inf):
         raise ValueError(f"need finite c > 0 and q >= 1, got c={c}, q={q}")
+    inv_c, inv_q = 1.0 / c, 1.0 / q
     return PotentialLaw(
         name="power",
         eval=lambda x: c * np.abs(np.asarray(x, dtype=float)) ** q,
+        inverse=lambda e_b: _mirrored((e_b * inv_c) ** inv_q),
         minimum_location=0.0,
         minimum_value=0.0,
     )
@@ -92,7 +113,8 @@ def from_callable(
 ) -> PotentialLaw:
     """Wrap an opaque V(x); when not given, the minimum is found by golden-section search.
 
-    A search that ends at +-SEARCH_WIDTH is a ValueError.
+    A search that ends at +-SEARCH_WIDTH is a ValueError. Turning points are
+    found by `brentq` (see `_brent_inverse`).
     """
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:
@@ -104,6 +126,7 @@ def from_callable(
     return PotentialLaw(
         name=name,
         eval=fn,
+        inverse=_brent_inverse(fn, float(minimum_location)),
         minimum_location=float(minimum_location),
         minimum_value=float(fn(minimum_location)),
     )
@@ -128,39 +151,56 @@ def _bracket_outward(V: Callable, x0: float, e_b: float, direction: float) -> tu
         f"no turning point within |x - {x0}| <= {step}: potential may not confine")
 
 
-def turning_points(problem: "BoundStateProblem", E: float) -> TurningPoints:
-    """Solve V(a) = V(b) = E_B around the potential minimum.
+def _brent_inverse(V: Callable, x0: float) -> Callable:
+    """E_B -> (a, b) for an opaque single well V with its minimum at x0.
 
-    Raises NoClassicalRegion when E_B does not exceed the well minimum,
-    NotConfining when V stays below E_B on one side, and
-    MultiWellUnsupported when the well rises above E_B between the roots.
+    Each root is bracketed outward from x0 and refined by `brentq`. Raises
+    NotConfining when V stays below E_B on one side, MultiWellUnsupported
+    when the well rises above E_B between the roots or falls below it on a
+    scan grid several well-widths beyond them, and SemiboundError when a
+    root misses V = E_B by more than 1e-12 * max(1, |E_B|).
+    """
+
+    def inverse(e_b: float) -> tuple:
+        f = lambda x: float(V(x)) - e_b
+        b = brentq(f, *_bracket_outward(V, x0, e_b, +1.0))
+        a = brentq(f, *_bracket_outward(V, x0, e_b, -1.0))
+
+        tol_mw = 1e-9 * max(1.0, abs(e_b))
+        interior = np.linspace(a, b, 513)[1:-1]
+        if np.any(np.asarray(V(interior), dtype=float) > e_b + tol_mw):
+            raise MultiWellUnsupported(
+                f"potential exceeds E_B = {e_b} between turning points ({a}, {b})")
+        for root, direction in ((b, +1.0), (a, -1.0)):
+            span = 4.0 * max(abs(root - x0), 1e-3)
+            beyond = root + direction * np.linspace(span / 512, span, 512)
+            if np.any(np.asarray(V(beyond), dtype=float) < e_b - tol_mw):
+                raise MultiWellUnsupported(
+                    f"additional classical region beyond x = {root} at E_B = {e_b}")
+        tol_e = 1e-12 * max(1.0, abs(e_b))
+        if abs(float(V(a)) - e_b) > tol_e or abs(float(V(b)) - e_b) > tol_e:
+            raise SemiboundError(f"turning-point refinement failed at E_B = {e_b}")
+        return a, b
+
+    return inverse
+
+
+def turning_points(problem: "BoundStateProblem", E: float) -> TurningPoints:
+    """Solve V(a) = V(b) = E_B around the potential minimum with the well's own inverse.
+
+    Raises NoClassicalRegion when E_B does not exceed the well minimum and
+    NotConfining when a root is not finite (V stays below E_B on one side,
+    or a closed-form root overflows); an opaque well may also raise what
+    `_brent_inverse` raises.
     """
     pot = problem.potential
-    e_b = binding_energy(problem, E)
+    # a Python float, so that a closed-form root overflows to inf without a numpy warning
+    e_b = float(binding_energy(problem, E))
     if e_b <= pot.minimum_value:
         raise NoClassicalRegion(
             f"binding energy {e_b} at or below well minimum {pot.minimum_value}")
-
-    V = pot.eval
-    x0 = pot.minimum_location
-    f = lambda x: float(V(x)) - e_b
-    b = brentq(f, *_bracket_outward(V, x0, e_b, +1.0))
-    a = brentq(f, *_bracket_outward(V, x0, e_b, -1.0))
-
-    # reject anything that is not a single well: V must stay below E_B inside
-    # and above E_B on a scan grid extending several well-widths outward
-    tol_mw = 1e-9 * max(1.0, abs(e_b))
-    interior = np.linspace(a, b, 513)[1:-1]
-    if np.any(np.asarray(V(interior), dtype=float) > e_b + tol_mw):
-        raise MultiWellUnsupported(
-            f"potential exceeds E_B = {e_b} between turning points ({a}, {b})")
-    for root, direction in ((b, +1.0), (a, -1.0)):
-        span = 4.0 * max(abs(root - x0), 1e-3)
-        beyond = root + direction * np.linspace(span / 512, span, 512)
-        if np.any(np.asarray(V(beyond), dtype=float) < e_b - tol_mw):
-            raise MultiWellUnsupported(
-                f"additional classical region beyond x = {root} at E_B = {e_b}")
-    tol_e = 1e-12 * max(1.0, abs(e_b))
-    if abs(float(V(a)) - e_b) > tol_e or abs(float(V(b)) - e_b) > tol_e:
-        raise SemiboundError(f"turning-point refinement failed at E_B = {e_b}")
+    a, b = pot.inverse(e_b)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NotConfining(f"turning points ({a}, {b}) at E_B = {e_b} are not finite: "
+                           f"potential may not confine")
     return TurningPoints(a, b)

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import semibound.classical
+import semibound.fgh
 import semibound.kinetics
 import semibound.wkbj
 from semibound.cli import main, parse_config, run_solve, validate
@@ -160,6 +161,42 @@ def test_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--config", str(path), "--pipeline", "fgh", "--out", ""]) == 2
     assert "outputs.directory must be a non-empty string, got ''" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "path-under-file"])
+def test_output_directory_that_cannot_be_made_is_refused_before_the_solve(
+        tmp_path, monkeypatch, capsys, under_file):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(semibound.fgh, "solve", unreachable)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    out = str(blocker / "sub" if under_file else blocker)
+    path = write_config(tmp_path, OSCILLATOR_YAML)
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory {out!r}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["benchmark_a", "benchmark_b", "readme"])
+def test_config_echo_equals_safe_load(tmp_path, source):
+    if source == "readme":
+        section = (REPO / "README.md").read_text(encoding="utf-8").split(
+            "## Config file schema (YAML)", 1)[1]
+        text = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = write_config(tmp_path, text)
+    else:
+        path = REPO / "configs" / f"{source}.yaml"
+        text = path.read_text(encoding="utf-8")
+    assert parse_config(path).echo == yaml.safe_load(text)
+
+
+def test_malformed_yaml_is_a_parse_error(tmp_path, capsys):
+    path = write_config(tmp_path, "problem: {kinetic: [massless\nstates: [0]\n")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: YAML parse error in ")
 
 
 def test_exit_code_2_on_bad_config(tmp_path):
@@ -376,12 +413,18 @@ MALFORMED = {
     "states-range-one-bound": ("states", {"range": [0]}, 2, 2, "unpack"),
     "states-text": ("states", ["zero"], 2, 2, "'zero'"),
     "n_points-text": ("fgh.n_points", "many", 2, 2, "'many'"),
-    "box-text": ("fgh.box", ["a", "b"], 2, 2, "'a'"),
+    "box-text": ("fgh.box", ["a", "b"], 2, 2, "fgh.box must be a number, got 'a'"),
+    "box-null-end": ("fgh.box", [None, 3], 2, 2, "fgh.box must be a number, got None"),
     "fgh-not-mapping": ("fgh", 5, 2, 2, "int"),
-    "hbar-text": ("problem.hbar", "abc", 2, 2, "'abc'"),
+    "hbar-text": ("problem.hbar", "abc", 2, 2, "problem.hbar must be a number, got 'abc'"),
+    "hbar-mapping": ("problem.hbar", {"h": 1}, 2, 2,
+                     "problem.hbar must be a number, got {'h': 1}"),
     "hbar-zero": ("problem.hbar", 0, 2, 2, "problem.hbar"),
     "hbar-infinite": ("problem.hbar", float("inf"), 2, 2, "problem.hbar"),
-    "mass-text": ("problem.kinetic.m", "abc", 2, 2, "'abc'"),
+    "mass-text": ("problem.kinetic.m", "abc", 2, 2,
+                  "problem.kinetic.m must be a number, got 'abc'"),
+    "mass-list": ("problem.kinetic.m", [1.0], 2, 2,
+                  "problem.kinetic.m must be a number, got [1.0]"),
     "slope-negative": ("problem.potential", {"kind": "linear", "lambda": -0.2}, 0, 2, "slope"),
     "no-samples": ("validation.n_samples", 0, 2, 2, "n_samples >= 4"),
     "three-samples": ("validation.n_samples", 3, 2, 2, "n_samples >= 4"),

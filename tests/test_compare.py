@@ -21,7 +21,7 @@ from semibound import (
     wkbj_averaged_density,
     wkbj_wavefunction,
 )
-from semibound.compare import _masked_boxcar, write_density_tables, write_outputs
+from semibound.compare import _fmt, _masked_boxcar, write_density_tables, write_outputs
 from semibound.potentials import TurningPoints
 
 
@@ -196,6 +196,29 @@ def test_density_table_text_is_pinned(tmp_path):
         "0.5,null,1e-300\n"
         "1,null,-0\n"
         "1.5,null,0.10000000000000001\n")
+
+
+def test_density_table_matches_per_cell_rendering(tmp_path):
+    # the one-format table writer against the per-cell _fmt over varied magnitudes
+    rng = np.random.default_rng(13)
+    grid = np.linspace(-4.0, 4.0, 61)
+    values = rng.standard_normal((3, 61)) * 10.0 ** rng.integers(-320, 300, (3, 61))
+    values[0, [0, 9]] = np.inf
+    values[1, [5, 60]] = -np.inf
+    values[2, [2, 30]] = np.nan
+    values[2, [3, 4, 6]] = (-0.0, 5e-324, 1.0)
+    routes = (Provenance.CLASSICAL, Provenance.WKBJ, Provenance.FGH)
+    densities = [SampledDensity(grid=grid, values=v, support=None, provenance=r, n=7)
+                 for v, r in zip(values, routes)]
+    (path,) = write_density_tables(densities, tmp_path)
+    header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+    assert header == "x,rho_cl,rho_wkbj,rho_fgh"
+    table = np.column_stack([grid, *values])
+    assert len(rows) == len(table)
+    for row, expected in zip(rows, table):
+        cells = row.split(",")
+        assert cells == [_fmt(float(v)) for v in expected]
+        assert [c == "null" for c in cells] == [not np.isfinite(v) for v in expected]
 
 
 def test_summary_text_is_pinned(tmp_path):

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semibound.potentials
 from semibound import (
     BoundStateProblem,
     MultiWellUnsupported,
     NoClassicalRegion,
+    NotConfining,
     binding_energy,
     harmonic,
     linear,
     massless,
     nonrelativistic,
+    power,
     relativistic,
+    roots,
     turning_points,
 )
 from semibound.kinetics import from_callable as kinetic_from_callable
@@ -127,3 +131,53 @@ def test_minimum_outside_the_search_interval_is_refused(centre):
     pot = potential_from_callable("far", lambda x: (np.asarray(x) - centre) ** 2,
                                   minimum_location=centre)
     assert pot.minimum_value == 0.0
+
+
+BUILT_IN_WELLS = {
+    "linear": linear(0.2),
+    "harmonic": harmonic(2.0, 0.7),
+    "power-q1": power(0.3, 1.0),
+    "power-q1.5": power(0.3, 1.5),
+    "power-q4": power(0.3, 4.0),
+}
+BINDING_ENERGIES = np.logspace(-6.0, 6.0, 25)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_WELLS))
+def test_closed_form_turning_points_match_brent(name):
+    # the same V behind the opaque-well path: bracket, brentq, single-well scans
+    well = BUILT_IN_WELLS[name]
+    opaque = potential_from_callable(name, well.eval, minimum_location=0.0)
+    for e_b in BINDING_ENERGIES:
+        tps = turning_points(BoundStateProblem(massless(), well), e_b)
+        ref = turning_points(BoundStateProblem(massless(), opaque), e_b)
+        for x, x_ref in ((tps.a, ref.a), (tps.b, ref.b)):
+            assert abs(x - x_ref) <= 4.0 * (roots.XTOL + roots.RTOL * abs(x_ref))
+            assert float(well.eval(x)) == pytest.approx(e_b, rel=2e-15)
+
+
+@pytest.mark.parametrize("well", [linear(1e-300), harmonic(2e-300, 1.0), power(1e-300, 1.0)],
+                         ids=["linear", "harmonic", "power"])
+def test_overflowing_closed_form_root_is_not_confining(well):
+    for E in (1e300, np.float64(1e300)):  # a numpy energy overflows without a RuntimeWarning
+        with pytest.raises(NotConfining):
+            turning_points(BoundStateProblem(massless(), well), E)
+
+
+def test_built_in_wells_never_call_brent(monkeypatch):
+    calls = []
+
+    def counting(f, a, b, real=roots.brentq):
+        calls.append((a, b))
+        return real(f, a, b)
+
+    monkeypatch.setattr(roots, "brentq", counting)
+    monkeypatch.setattr(semibound.potentials, "brentq", counting)
+    for well in BUILT_IN_WELLS.values():
+        for e_b in (1e-3, 1.0, 1e3):
+            turning_points(BoundStateProblem(massless(), well), e_b)
+    assert calls == []
+    # the patch sits where the opaque-well path looks for brentq
+    turning_points(BoundStateProblem(
+        massless(), potential_from_callable("v", linear(0.2).eval, minimum_location=0.0)), 1.0)
+    assert len(calls) == 2
