@@ -30,6 +30,7 @@ from .errors import (
     EigensolverFailure,
     EnergyCeilingExceeded,
     GridMismatch,
+    GridTooCoarse,
     GridTooSmall,
     InadmissibleLaw,
     MultiWellUnsupported,

@@ -5,8 +5,8 @@
 
 Exit codes are the `exit_code` of the error type raised: 0 success, 1 solver error,
 2 config error (malformed or out-of-range values, bad potential parameters, an even FGH
-grid or an FGH box or grid that cannot hold the states), 3 kinetic law that cannot be built
-or is inadmissible.
+grid or an FGH box or grid that cannot hold the states or resolve their densities), 3
+kinetic law that cannot be built or is inadmissible.
 """
 
 from __future__ import annotations
@@ -257,8 +257,7 @@ def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
 
 
 def _fgh(problem, config: RunConfig, ns: list) -> tuple:
-    spectrum = fgh.solve(problem, config.fgh)
-    ns = [n for n in ns if n < len(spectrum.states)]
+    spectrum = fgh.solve(problem, config.fgh.covering(ns))
     rows = [{"n": n, "energy_fgh": spectrum.states[n].energy} for n in ns]
     densities = [fgh.fgh_density(spectrum, n) for n in ns]
     return rows, densities, _states_doc(config, rows)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .classical import SampledDensity, classical_density, momentum_field
-from .errors import GridMismatch, StateRangeMismatch
+from .errors import GridMismatch, GridTooCoarse, StateRangeMismatch
 from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
 from .potentials import turning_points
@@ -124,6 +124,8 @@ def density_distance(d1: SampledDensity, d2: SampledDensity,
 
     Samples where either density is non-finite (turning-point sentinels) are
     excluded. The sup-norm drops a margin of 2% of d at each turning point.
+    A grid with no such sample in the region raises GridTooCoarse, naming the
+    state and the grid spacing.
     """
     g1, g2 = d1.grid, d2.grid
     if g1.shape != g2.shape or np.max(np.abs(g1 - g2)) > 1e-12 * max(1.0, np.max(np.abs(g1))):
@@ -139,13 +141,20 @@ def density_distance(d1: SampledDensity, d2: SampledDensity,
         a, b = g1[0], g1[-1]
 
     if metric == "L1":
-        mask = finite & (g1 >= a) & (g1 <= b)
-        return float(dx * np.sum(np.abs(d1.values[mask] - d2.values[mask])))
-    if metric == "sup_interior":
+        lo, hi = a, b
+    elif metric == "sup_interior":
         margin = SUP_MARGIN * (b - a)
-        mask = finite & (g1 >= a + margin) & (g1 <= b - margin)
-        return float(np.max(np.abs(d1.values[mask] - d2.values[mask])))
-    raise ValueError(f"unknown metric {metric!r}")
+        lo, hi = a + margin, b - margin
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    mask = finite & (g1 >= lo) & (g1 <= hi)
+    if not mask.any():
+        n = d1.n if d1.n is not None else d2.n
+        raise GridTooCoarse(f"state n={n}: no grid sample where both densities are finite "
+                            f"in [{lo:.6g}, {hi:.6g}], the {metric} region, at grid spacing "
+                            f"dx = {dx:.6g}; a finer or narrower FGH grid is needed")
+    diff = np.abs(d1.values[mask] - d2.values[mask])
+    return float(dx * np.sum(diff)) if metric == "L1" else float(np.max(diff))
 
 
 def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghConfig):
@@ -157,7 +166,7 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghC
     smoothed-FGH metric uses each FGH state's own energy.
     """
     ns = sorted(set(int(n) for n in ns))
-    cfg = replace(fgh_config, n_states=max(fgh_config.n_states, max(ns) + 1))
+    cfg = fgh_config.covering(ns)
     wkbj_states = [quantize(problem, n) for n in ns]
     top = wkbj_states[-1]
     if cfg.box == "auto" and top.n == cfg.n_states - 1:

@@ -69,3 +69,7 @@ class GridTooSmall(ConfigError, ValueError):
 
 class NoStatesRequested(ConfigError, ValueError):
     """FGH configuration asks for fewer than one state."""
+
+
+class GridTooCoarse(ConfigError):
+    """A density grid has no sample inside the region a distance is measured over."""

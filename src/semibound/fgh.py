@@ -7,11 +7,11 @@ k = -(N-1)/2 .. (N-1)/2, giving the real symmetric matrix
     H_ij = V(x_i) delta_ij + (1/N) * sum_k T(p_k) * cos(p_k (x_i - x_j)).
 
 The kinetic kernel depends only on i - j and is assembled with one real DFT,
-then Toeplitz-filled. The grid is always shifted by less than one spacing so
-that the potential minimum sits at the Gauss offset 1/2 - 1/(2*sqrt(3))
-inside its cell: for a symmetric kink at the minimum (such as lam*|x|) this
-cancels the leading O(dx^2) sampling error of the corner, restoring
-fourth-order eigenvalue convergence. A kink with unequal slopes keeps a
+then Toeplitz-filled into the lower triangle only, the part LAPACK reads. The
+grid is always shifted by less than one spacing so that the potential minimum
+sits at the Gauss offset 1/2 - 1/(2*sqrt(3)) inside its cell: for a symmetric
+kink at the minimum (such as lam*|x|) this cancels the leading O(dx^2) sampling
+error of the corner, restoring fourth-order eigenvalue convergence. A kink with unequal slopes keeps a
 third-order error: the energies of V and of its reflection V(-x) differ by
 ~8 times less per doubling of N. For smooth potentials the shift is
 immaterial.
@@ -19,11 +19,13 @@ immaterial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import as_strided
 
 from .classical import Provenance, SampledDensity
 from .errors import (ConfigError, EigensolverFailure, GridTooSmall, NoStatesRequested,
@@ -35,6 +37,8 @@ from .potentials import TurningPoints
 GAUSS_OFFSET = 0.5 - 0.5 / np.sqrt(3.0)
 #: box padding beyond the turning points, as a fraction of d
 BOX_PADDING = 0.35
+#: columns per block of lower_hamiltonian's fill
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,15 @@ class FghConfig:
     n_points: int = 513
     box: Union[str, Tuple[float, float]] = "auto"
     n_states: int = 16
+
+    def covering(self, ns) -> "FghConfig":
+        """This config with n_states raised, if need be, to hold every quantum number in ns.
+
+        An n_states below 1 is kept, for resolve_grid to refuse on every route.
+        """
+        if self.n_states < 1:
+            return self
+        return replace(self, n_states=max(self.n_states, max(ns) + 1))
 
 
 @dataclass(frozen=True)
@@ -124,49 +137,71 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     return np.fft.fft(c).real / N
 
 
-def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
-    """Dense real symmetric N x N Hamiltonian on a uniform grid (see resolve_grid)."""
-    dx = grid[1] - grid[0]
-    K = kinetic_kernel(problem, len(grid), dx)
-    H = scipy.linalg.toeplitz(K)
-    H[np.diag_indices_from(H)] += np.asarray(problem.potential.eval(grid), dtype=float)
-    return H
+def lower_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
+    """Lower triangle of H = toeplitz(K) + diag(V), Fortran-ordered, as LAPACK reads it.
 
-
-def _require_finite(H: np.ndarray, grid: np.ndarray) -> None:
-    """O(N) finiteness check of H = toeplitz(K) + diag(V).
-
-    Off the diagonal H holds the kernel values K[|i-j|], all of which appear in
-    its first row; on the diagonal it holds K[0] + V(x_i). So H is finite
-    exactly when that row and the diagonal are.
+    The strict upper triangle is never written: it reads 0, and its pages are
+    never committed, because the matrix lives in an anonymous mmap, whose
+    pages become resident on first write, rather than in numpy's allocator,
+    which asks for 2 MB transparent huge pages, each holding some of the lower
+    triangle. With 4 KB pages for shared anonymous memory (shmem huge pages
+    off) about 4 N^2 + PAGESIZE * N of its 8 N^2 bytes become resident.
+    Finiteness is checked in O(N) on the inputs: a non-finite K, then a
+    non-finite K[0] + V(x_i), raises EigensolverFailure.
     """
-    if not np.isfinite(H[0, 1:]).all():
+    N = len(grid)
+    K = kinetic_kernel(problem, N, grid[1] - grid[0])
+    if not np.isfinite(K).all():
         raise EigensolverFailure("Hamiltonian is not finite: the kinetic kernel K is not "
                                  "finite (a finite T(p) overflowed its DFT)")
-    bad = ~np.isfinite(np.diagonal(H))
+    diagonal = K[0] + np.asarray(problem.potential.eval(grid), dtype=float)
+    bad = ~np.isfinite(diagonal)
     if bad.any():
         raise EigensolverFailure(f"Hamiltonian is not finite: V(x) is not finite at grid "
                                  f"x = {grid[np.argmax(bad)]:.6g}")
+    flat = np.frombuffer(mmap.mmap(-1, 8 * N * N), dtype=float)
+    L = flat.reshape((N, N), order="F")
+    # columns j0 <= j < j1: rows i >= j1 hold K[i - j], a Toeplitz rectangle read
+    # backwards along K; rows j0 <= i < j1 a small triangle, written element-wise
+    s = K.strides[0]
+    rows, cols = np.tril_indices(_BLOCK)
+    for j0 in range(0, N, _BLOCK):
+        width = min(_BLOCK, N - j0)
+        j1 = j0 + width
+        L[j1:, j0:j1] = as_strided(K[width:], shape=(N - j1, width), strides=(s, -s))
+        inside = rows < width
+        r, c = rows[inside], cols[inside]
+        L[j0 + r, j0 + c] = K[r - c]
+    flat[::N + 1] = diagonal
+    return L
+
+
+def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
+    """Dense real symmetric N x N Hamiltonian on a uniform grid (see resolve_grid)."""
+    L = lower_hamiltonian(problem, grid)
+    return np.tril(L) + np.tril(L, -1).T
 
 
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
     Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
-    by LAPACK in place on the freshly built H, so the solve holds one N x N
-    matrix. A non-finite H raises EigensolverFailure naming the kinetic
-    kernel or the first grid x where V is not finite.
+    by LAPACK in place on the lower triangle from lower_hamiltonian, the only
+    part it reads, committed page by page as it is written: on 4 KB pages with
+    shmem huge pages off, about 4 N^2 + PAGESIZE * N bytes of H are resident,
+    not 8 N^2 (at N = 2049 a solve's peak RSS grows by 25 MiB, not 34; at
+    N = 513 a column is about a page and nothing is saved). A non-finite H
+    raises EigensolverFailure naming the kinetic kernel or the first grid x
+    where V is not finite.
     Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over
     the whole grid) with the first non-negligible component positive.
     """
     grid = resolve_grid(problem, config)
     dx = grid[1] - grid[0]
-    H = build_hamiltonian(problem, grid)
-    _require_finite(H, grid)
-    # H is exactly symmetric, so H.T is a Fortran-ordered view of the same
-    # matrix: LAPACK overwrites it in place instead of working on a copy
+    L = lower_hamiltonian(problem, grid)
     try:
-        energies, vectors = scipy.linalg.eigh(H.T, subset_by_index=[0, config.n_states - 1],
+        energies, vectors = scipy.linalg.eigh(L, lower=True,
+                                              subset_by_index=[0, config.n_states - 1],
                                               overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc

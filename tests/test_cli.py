@@ -328,9 +328,9 @@ def test_exit_code_2_on_too_small_grid(tmp_path, capsys, pipeline):
 
 
 @pytest.mark.parametrize("pipeline,points,rc", [
-    ("fgh", 13, 0), ("fgh", 11, 2), ("compare", 17, 0), ("compare", 15, 2)])
+    ("fgh", 17, 0), ("fgh", 15, 2), ("fgh", 11, 2), ("compare", 17, 0), ("compare", 15, 2)])
 def test_grid_size_counts_solved_states(tmp_path, pipeline, points, rc):
-    # fgh solves n_states = 6 and drops state 7; compare widens to 8 states
+    # both FGH routes widen n_states = 6 to 8 so that state 7 is solved
     path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0, 7]")
                         .replace("POINTS", str(points)))
     assert main(["solve", "--config", str(path), "--pipeline", pipeline,
@@ -359,12 +359,49 @@ def test_high_states_need_no_fgh_grid(tmp_path, pipeline):
     assert summary[1].startswith("300,")
 
 
+def test_fgh_pipeline_solves_every_requested_state(tmp_path):
+    # n_states: 8 is widened to 21 rather than dropping state 20
+    path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
+                        + "states: [0, 5, 20]\nfgh: {n_points: 129, n_states: 8}\n")
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "x")]) == 0
+    summary = (tmp_path / "x" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in summary[1:]] == ["0", "5", "20"]
+    assert (tmp_path / "x" / "density_n020.csv").is_file()
+    states = json.loads((tmp_path / "x" / "report.json").read_text())["states"]
+    assert [s["n"] for s in states] == [0, 5, 20]
+
+
+def test_density_metric_on_a_grid_too_coarse_exits_2(tmp_path):
+    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0: no sample inside
+    path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
+                        + "states: [0]\nfgh: {n_points: 33, n_states: 4, box: [-200, 200]}\n")
+    src = REPO / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-m", "semibound.cli", "solve", "--config",
+                             str(path), "--pipeline", "compare", "--out", str(tmp_path / "x")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "config error: state n=0" in result.stderr
+    assert "dx = 12.1212" in result.stderr
+
+
 def test_exit_code_2_on_no_fgh_states(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0]")
                         .replace("POINTS", "65").replace("n_states: 6", "n_states: 0"))
     assert main(["solve", "--config", str(path), "--pipeline", "fgh",
                  "--out", str(tmp_path / "x")]) == 2
     assert "fgh.n_states" in capsys.readouterr().err
+
+
+def test_compare_refuses_no_fgh_states_as_fgh_does(tmp_path, capsys):
+    # widening to max(states) + 1 does not turn an n_states of 0 into a valid request
+    path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0]")
+                        .replace("POINTS", "65").replace("n_states: 6", "n_states: 0"))
+    assert main(["solve", "--config", str(path), "--pipeline", "compare",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "fgh.n_states must be >= 1" in capsys.readouterr().err
 
 
 BAD_MASS_YAML = """

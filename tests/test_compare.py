@@ -8,14 +8,17 @@ import semibound.wkbj
 from semibound import (
     FghConfig,
     GridMismatch,
+    GridTooCoarse,
     Provenance,
     SampledDensity,
     StateRangeMismatch,
     build_report,
+    classical_density,
     compare_spectra,
     debroglie_average,
     density_distance,
     export,
+    fgh_density,
     quantize,
     solve,
     wkbj_averaged_density,
@@ -62,6 +65,29 @@ def test_distance_restricted_to_support_overlap():
     b = _density(np.full_like(grid, 0.5), grid, support=TurningPoints(-1.0, 1.0))
     # curves agree on the overlap; the mismatch outside must not count
     assert density_distance(a, b) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("metric", ["L1", "sup_interior"])
+def test_distance_with_no_sample_inside_the_well_is_a_config_error(benchmark_a, metric):
+    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0
+    spectrum = solve(benchmark_a, FghConfig(n_points=33, n_states=4, box=(-200.0, 200.0)))
+    state = quantize(benchmark_a, 0)
+    rho_cl = replace(classical_density(benchmark_a, state.energy, grid=spectrum.grid,
+                                       tps=state.turning_points), n=0)
+    rho_avg = debroglie_average(benchmark_a, spectrum.states[0].energy,
+                                fgh_density(spectrum, 0))
+    with pytest.raises(GridTooCoarse, match=rf"state n=0: .*{metric} region.* dx = 12\.1212"):
+        density_distance(rho_cl, rho_avg, metric)
+
+
+def test_sup_norm_needs_a_sample_inside_its_margins():
+    # the one sample at 0.98 lies in the L1 region [-1, 1] but not in [-0.96, 0.96]
+    grid = np.array([-2.98, 0.98, 4.94])
+    a = _density([0.1, 0.5, 0.1], grid, support=TurningPoints(-1.0, 1.0), n=3)
+    b = _density([0.1, 0.25, 0.1], grid, n=3)
+    assert density_distance(a, b, "L1") == pytest.approx(3.96 * 0.25, rel=1e-14)
+    with pytest.raises(GridTooCoarse, match=r"state n=3: .*\[-0\.96, 0\.96\].* dx = 3\.96"):
+        density_distance(a, b, "sup_interior")
 
 
 def local_average(density):

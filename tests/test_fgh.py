@@ -1,4 +1,5 @@
 import dataclasses
+import mmap
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import GAUSS_OFFSET, resolve_grid
+from semibound.fgh import GAUSS_OFFSET, kinetic_kernel, lower_hamiltonian, resolve_grid
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
 
@@ -257,6 +258,64 @@ def test_in_place_solve_is_repeatable(benchmark_a):
         assert np.array_equal(a.wavefunction, b.wavefunction)
     H = build_hamiltonian(benchmark_a, resolve_grid(benchmark_a, cfg))
     assert np.array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("n_points", [9, 513, 2049])
+def test_lower_hamiltonian_is_the_lower_triangle_of_the_dense_reference(benchmark_a, n_points):
+    grid = resolve_grid(benchmark_a, FghConfig(n_points=n_points, n_states=4))
+    dense = scipy.linalg.toeplitz(kinetic_kernel(benchmark_a, n_points, grid[1] - grid[0]))
+    dense[np.diag_indices_from(dense)] += benchmark_a.potential.eval(grid)
+    L = lower_hamiltonian(benchmark_a, grid)
+    assert L.flags.f_contiguous
+    for j in range(n_points):
+        assert L[j:, j].tobytes() == dense[j:, j].tobytes()
+        assert not L[:j, j].any()
+    assert build_hamiltonian(benchmark_a, grid).tobytes() == dense.tobytes()
+
+
+def _resident_page_size() -> int:
+    """Bytes per page of a shared anonymous mapping: huge pages where shmem THP is on."""
+    thp = Path("/sys/kernel/mm/transparent_hugepage")
+    try:
+        mode = (thp / "shmem_enabled").read_text().split("[")[1].split("]")[0]
+        if mode in ("always", "within_size", "force"):
+            return int((thp / "hpage_pmd_size").read_text())
+    except (OSError, IndexError, ValueError):
+        pass
+    return mmap.PAGESIZE
+
+
+RSS_PROBE = """
+import resource
+from semibound import BoundStateProblem, FghConfig, linear, massless, solve
+problem = BoundStateProblem(massless(), linear(0.2))
+solve(problem, FghConfig(n_points=65, n_states=8))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+solve(problem, FghConfig(n_points=2049, n_states=64))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+#: ru_maxrss starts at the peak of the process whose memory an exec replaced, so
+#: the probe is started from a small interpreter rather than from the test's
+LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
+
+
+def test_solve_commits_about_the_lower_triangle_only():
+    """Peak RSS grows by about 4 N^2 + page * N over a solve, not by the 8 N^2 of a full H.
+
+    The bound is halfway between the two, so it shows the saving only where
+    the triangle is the smaller: where a page is less than 4 N bytes.
+    """
+    pytest.importorskip("resource")
+    N, page = 2049, _resident_page_size()
+    if page >= 4 * N:
+        pytest.skip(f"{page}-byte pages: the lower triangle commits the whole of H")
+    bound = (4 * N * N + page * N + 8 * N * N) / 2
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", LAUNCHER, RSS_PROBE], env=env,
+                            capture_output=True, text=True, check=True)
+    growth = int(result.stdout) * (1 if sys.platform == "darwin" else 1024)
+    assert growth < bound
 
 
 def test_parity_alternates(benchmark_a):
