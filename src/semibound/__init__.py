@@ -65,6 +65,7 @@ from .kinetics import (
     validate_admissibility,
 )
 from .potentials import (
+    LocalForm,
     PotentialLaw,
     TurningPoints,
     binding_energy,

@@ -4,41 +4,51 @@ The Hamiltonian is collocated on N (odd) uniform points; the kinetic operator
 is diagonal in the symmetric discrete momentum set p_k = 2*pi*k/(N*dx),
 k = -(N-1)/2 .. (N-1)/2, giving the real symmetric matrix
 
-    H_ij = V(x_i) delta_ij + (1/N) * sum_k T(p_k) * cos(p_k (x_i - x_j)).
+    H_ij = V(x_i) delta_ij + K(i - j),  K(r) = (1/N) sum_k T(p_k) cos(2 pi k r / N),
 
-The kinetic kernel depends only on i - j and is assembled with one real DFT,
-then Toeplitz-filled into the lower triangle only, the part LAPACK reads. The
-grid is always shifted by less than one spacing so that the potential minimum
-sits at the Gauss offset 1/2 - 1/(2*sqrt(3)) inside its cell: for a symmetric
-kink at the minimum (such as lam*|x|) this cancels the leading O(dx^2) sampling
-error of the corner, restoring fourth-order eigenvalue convergence. A kink with unequal slopes keeps a
-third-order error: the energies of V and of its reflection V(-x) differ by
-~8 times less per doubling of N. For smooth potentials the shift is
-immaterial.
+with K from one real DFT. One grid point sits on the potential minimum x0.
+A kink there, V(x0 + s) - V(x0) ~ c|s|^q, makes the grid sums that H stands
+for err as the generalized Euler-Maclaurin formula for a |x|^q singularity
+says (Navot, J. Math. Phys. 40, 271 (1961)): by
+2 zeta(-q) cbar h^q g(0) h + zeta(-q-2) cbar h^q g''(0) h^3 + ..., with h = dx,
+cbar the mean of the two one-sided coefficients and g the smooth rest of the
+integrand. For a well that declares its form (PotentialLaw.local_form), two
+local edits of the diagonal cancel both terms: with beta = -zeta(-q-2) cbar h^q,
+V at the minimum gains -2 zeta(-q) cbar h^q - 2 beta and V at each neighbour
+gains beta. For q = 1 that is cbar h/6 + cbar h/60 and -cbar h/120; at even q
+(a smooth minimum) both are exactly 0.
+
+A well symmetric about x0, on a grid centred on it, splits H into an even
+block of size M + 1 = (N + 1)/2 and an odd block of size M, with i, j >= 0
+counting grid points out from x0:
+
+    H+_ij = K(i - j) + K(i + j) + V_i   (row and column 0 of the K part scaled by 1/sqrt 2),
+    H-_ij = K(i - j) - K(i + j) + V_i   (i, j >= 1),
+
+each solved for its lowest states at about a quarter of the cost of the
+full matrix. Any other well, or a box not centred on x0, is one block of
+size N.
 """
 
 from __future__ import annotations
 
-import mmap
+import math
 from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
 import numpy as np
-import scipy.linalg
 from numpy.lib.stride_tricks import as_strided
 
 from .classical import Provenance, SampledDensity
 from .errors import (ConfigError, EigensolverFailure, GridTooSmall, NoStatesRequested,
                      OddGridRequired)
 from .kinetics import BoundStateProblem
-from .potentials import TurningPoints
+from .potentials import LocalForm, TurningPoints
 
-#: fractional cell offset of the potential minimum on auto grids
-GAUSS_OFFSET = 0.5 - 0.5 / np.sqrt(3.0)
 #: box padding beyond the turning points, as a fraction of d
 BOX_PADDING = 0.35
-#: columns per block of lower_hamiltonian's fill
-_BLOCK = 64
+#: B_2k / (2k)! for k = 1 .. 6: the Euler-Maclaurin tail of zeta(s)
+_TAIL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
 
 
 @dataclass(frozen=True)
@@ -89,14 +99,15 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
 
 
 def _grid(box: Tuple[float, float], n_points: int, anchor: float) -> np.ndarray:
-    """Uniform grid on box, shifted by under half a cell so `anchor` sits at the Gauss offset."""
+    """n_points spaced dx = (x_max - x_min) / n_points, one on anchor.
+
+    They are the points of that lattice nearest the box's cell midpoints, so
+    a box centred on anchor gives anchor + dx * (-M .. M), M = (n_points - 1) / 2.
+    """
     x_min, x_max = box
     dx = (x_max - x_min) / n_points
-    frac = (anchor - x_min) / dx
-    shift = (frac - np.floor(frac) - GAUSS_OFFSET) * dx
-    if shift > 0.5 * dx:
-        shift -= dx
-    return x_min + shift + dx * np.arange(n_points)
+    k = round((anchor - x_min) / dx - 0.5)
+    return anchor + dx * np.arange(-k, n_points - k)
 
 
 def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
@@ -137,74 +148,178 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     return np.fft.fft(c).real / N
 
 
-def lower_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
-    """Lower triangle of H = toeplitz(K) + diag(V), Fortran-ordered, as LAPACK reads it.
+def zeta_negative(q: float, scale: float = 1.0) -> float:
+    """scale**q * zeta(-q) for q > 0 and scale > 0; exactly 0.0 at even q.
 
-    The strict upper triangle is never written: it reads 0, and its pages are
-    never committed, because the matrix lives in an anonymous mmap, whose
-    pages become resident on first write, rather than in numpy's allocator,
-    which asks for 2 MB transparent huge pages, each holding some of the lower
-    triangle. With 4 KB pages for shared anonymous memory (shmem huge pages
-    off) about 4 N^2 + PAGESIZE * N of its 8 N^2 bytes become resident.
-    Finiteness is checked in O(N) on the inputs: a non-finite K, then a
-    non-finite K[0] + V(x_i), raises EigensolverFailure.
+    By the reflection formula, zeta(-q) = -2 (2 pi)^-(1+q) sin(pi q / 2) Gamma(1+q) zeta(1+q).
+    The powers and Gamma are combined in logarithms, so the product stays
+    finite where zeta(-q) alone would overflow; it is inf only where the
+    product itself leaves the float range. zeta(1 + q) is summed to 9 terms
+    with a six-term Euler-Maclaurin tail.
+    """
+    if q % 2 == 0:
+        return 0.0
+    s, n = 1.0 + q, 10
+    try:
+        size = math.exp(math.lgamma(s) - s * math.log(2.0 * math.pi) + q * math.log(scale))
+    except OverflowError:
+        size = math.inf
+    zeta = sum(j ** -s for j in range(1, n)) + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s
+    rising = s * n ** (-s - 1.0)  # s (s+1) .. (s+2k-2) n^(1-s-2k), here at k = 1
+    for k, coeff in enumerate(_TAIL, start=1):
+        zeta += coeff * rising
+        rising *= (s + 2 * k - 1) * (s + 2 * k) / (n * n)
+    return -2.0 * math.sin(0.5 * math.pi * q) * zeta * size
+
+
+def _minimum_index(problem: BoundStateProblem, grid: np.ndarray) -> int:
+    """Index of the grid point on the potential minimum (outside 0 .. N-1 for a box without it)."""
+    return round((problem.potential.minimum_location - grid[0]) / (grid[1] - grid[0]))
+
+
+def _kink_correction(form: LocalForm, dx: float) -> Tuple[float, float]:
+    """(at the minimum, at each neighbour): the diagonal edits that cancel the kink's error."""
+    c_bar = 0.5 * (form.left + form.right)
+    beta = -c_bar * zeta_negative(form.q + 2.0, dx) / (dx * dx)
+    return -2.0 * c_bar * zeta_negative(form.q, dx) - 2.0 * beta, beta
+
+
+def _kernel_and_potential(problem: BoundStateProblem,
+                          grid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """K(0 .. N-1) and the diagonal potential, kink-corrected where the well declares its form.
+
+    Finiteness is checked in O(N): a non-finite K, then a non-finite
+    K[0] + V_i, raises EigensolverFailure.
     """
     N = len(grid)
-    K = kinetic_kernel(problem, N, grid[1] - grid[0])
+    dx = grid[1] - grid[0]
+    K = kinetic_kernel(problem, N, dx)
     if not np.isfinite(K).all():
         raise EigensolverFailure("Hamiltonian is not finite: the kinetic kernel K is not "
                                  "finite (a finite T(p) overflowed its DFT)")
-    diagonal = K[0] + np.asarray(problem.potential.eval(grid), dtype=float)
-    bad = ~np.isfinite(diagonal)
+    V = np.array(problem.potential.eval(grid), dtype=float)
+    form = problem.potential.local_form
+    if form is not None:
+        k = _minimum_index(problem, grid)
+        centre, neighbour = _kink_correction(form, dx)
+        for i, edit in ((k - 1, neighbour), (k, centre), (k + 1, neighbour)):
+            if 0 <= i < N:
+                V[i] += edit
+    bad = ~np.isfinite(K[0] + V)
     if bad.any():
         raise EigensolverFailure(f"Hamiltonian is not finite: V(x) is not finite at grid "
                                  f"x = {grid[np.argmax(bad)]:.6g}")
-    flat = np.frombuffer(mmap.mmap(-1, 8 * N * N), dtype=float)
-    L = flat.reshape((N, N), order="F")
-    # columns j0 <= j < j1: rows i >= j1 hold K[i - j], a Toeplitz rectangle read
-    # backwards along K; rows j0 <= i < j1 a small triangle, written element-wise
-    s = K.strides[0]
-    rows, cols = np.tril_indices(_BLOCK)
-    for j0 in range(0, N, _BLOCK):
-        width = min(_BLOCK, N - j0)
-        j1 = j0 + width
-        L[j1:, j0:j1] = as_strided(K[width:], shape=(N - j1, width), strides=(s, -s))
-        inside = rows < width
-        r, c = rows[inside], cols[inside]
-        L[j0 + r, j0 + c] = K[r - c]
-    flat[::N + 1] = diagonal
-    return L
+    return K, V
+
+
+def _block(K: np.ndarray, V: np.ndarray, parity: int) -> np.ndarray:
+    """One symmetric block of H, of size len(V), in a single allocation.
+
+    parity 0: K(i - j) + V_i, the whole of H. parity +1 / -1: the even / odd
+    block K(i - j) +- K(i + j) + V_i, i, j counting grid points out from the
+    minimum from 0 / from 1, with row and column 0 of the even block's K part
+    scaled by 1/sqrt 2. The Toeplitz and Hankel parts are strided views of K,
+    added in place.
+    """
+    n, N = len(V), len(K)
+    mirrored = np.concatenate((K[:0:-1], K))  # K(|r|) at N - 1 + r
+    s = mirrored.strides[0]
+    B = np.empty((n, n))
+    np.copyto(B, as_strided(mirrored[N - 1:], shape=(n, n), strides=(s, -s)))
+    if parity:
+        s = K.strides[0]
+        hankel = as_strided(K[0 if parity > 0 else 2:], shape=(n, n), strides=(s, s))
+        (np.add if parity > 0 else np.subtract)(B, hankel, out=B)
+    if parity > 0:
+        B[0] *= math.sqrt(0.5)
+        B[:, 0] *= math.sqrt(0.5)
+    B.flat[::n + 1] += V
+    return B
 
 
 def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
-    """Dense real symmetric N x N Hamiltonian on a uniform grid (see resolve_grid)."""
-    L = lower_hamiltonian(problem, grid)
-    return np.tril(L) + np.tril(L, -1).T
+    """Dense real symmetric N x N Hamiltonian on a grid from resolve_grid, kink-corrected."""
+    return _block(*_kernel_and_potential(problem, grid), 0)
+
+
+def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
+    """Lowest `count` eigenpairs of one block, computed by LAPACK in place on the block."""
+    import scipy.linalg
+
+    B = _block(K, V, parity)
+    try:
+        # B is symmetric: its transpose is the same matrix in the Fortran order LAPACK takes
+        return scipy.linalg.eigh(B.T, lower=True, subset_by_index=[0, count - 1],
+                                 overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
+
+
+def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
+    """Block eigenvectors (columns) on the whole grid.
+
+    Even u: u_j/sqrt 2 at -j and +j, u_0 at the centre. Odd v: -v_j/sqrt 2 at
+    -j, v_j/sqrt 2 at +j, 0 at the centre.
+    """
+    if not parity:
+        return vectors
+    half = math.sqrt(0.5) * (vectors[1:] if parity > 0 else vectors)
+    M = len(half)
+    psi = np.empty((2 * M + 1, vectors.shape[1]))
+    psi[M + 1:] = half
+    psi[M - 1::-1] = parity * half
+    psi[M] = vectors[0] if parity > 0 else 0.0
+    return psi
+
+
+def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
+    """Lowest n_states eigenvalues of H on grid, ascending, and their unit eigenvectors as columns.
+
+    A well declared symmetric, on a grid centred on its minimum, is solved as
+    its even and odd blocks, one after the other, each first for
+    (n_states + 1) // 2 + 1 states. A block all of whose states land among
+    the lowest n_states of the merge may hold more below them, so it is
+    solved again for n_states: the merge is then that of the full matrix,
+    whatever the order of the parities. Any other well is one block.
+    """
+    K, V = _kernel_and_potential(problem, grid)
+    M = len(grid) // 2
+    form = problem.potential.local_form
+    if form is not None and form.symmetric and _minimum_index(problem, grid) == M:
+        blocks, first = {1: V[M:], -1: V[M + 1:]}, (n_states + 1) // 2 + 1
+    else:
+        blocks, first = {0: V}, n_states
+    counts = {p: min(first, len(d)) for p, d in blocks.items()}
+    found = {}
+    while True:
+        for p, diagonal in blocks.items():
+            if p not in found or len(found[p][0]) < counts[p]:
+                found[p] = _lowest(K, diagonal, p, counts[p])
+        energies = np.concatenate([found[p][0] for p in blocks])
+        order = np.argsort(energies, kind="stable")[:n_states]
+        owner = np.repeat(list(blocks), [counts[p] for p in blocks])[order]
+        short = {p: min(n_states, len(d)) for p, d in blocks.items()
+                 if counts[p] < min(n_states, len(d)) and np.count_nonzero(owner == p) == counts[p]}
+        if not short:
+            break
+        counts.update(short)
+    vectors = np.hstack([_unfold(found[p][1], p) for p in blocks])
+    return energies[order], vectors[:, order]
 
 
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
     Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
-    by LAPACK in place on the lower triangle from lower_hamiltonian, the only
-    part it reads, committed page by page as it is written: on 4 KB pages with
-    shmem huge pages off, about 4 N^2 + PAGESIZE * N bytes of H are resident,
-    not 8 N^2 (at N = 2049 a solve's peak RSS grows by 25 MiB, not 34; at
-    N = 513 a column is about a page and nothing is saved). A non-finite H
-    raises EigensolverFailure naming the kinetic kernel or the first grid x
-    where V is not finite.
+    by LAPACK in place on each block of H, and a split well holds one block
+    at a time (see _eigenpairs). A non-finite H raises EigensolverFailure
+    naming the kinetic kernel or the first grid x where V is not finite.
     Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over
     the whole grid) with the first non-negligible component positive.
     """
     grid = resolve_grid(problem, config)
     dx = grid[1] - grid[0]
-    L = lower_hamiltonian(problem, grid)
-    try:
-        energies, vectors = scipy.linalg.eigh(L, lower=True,
-                                              subset_by_index=[0, config.n_states - 1],
-                                              overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
+    energies, vectors = _eigenpairs(problem, grid, config.n_states)
 
     states = []
     for n in range(config.n_states):

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .classical import (Provenance, SampledDensity, classical_density, default_grid,
                         momentum_field, speed_field, well_layout)
@@ -189,7 +188,11 @@ def _spline_antiderivative(u: np.ndarray, y: np.ndarray) -> Callable:
 
     Operation for operation what scipy's CubicSpline(u, y).antiderivative()
     computes and how its PPoly evaluates (powers of v - u[i], constant first).
+    scipy.linalg is imported here, not with the module, so that a CLI run
+    that solves nothing does not load it.
     """
+    from scipy.linalg import solve_banded
+
     if not np.all(np.isfinite(y)):
         raise ValueError("`y` must contain only finite values.")
     n, dx = len(u), np.diff(u)

@@ -373,9 +373,10 @@ def test_fgh_pipeline_solves_every_requested_state(tmp_path):
 
 
 def test_density_metric_on_a_grid_too_coarse_exits_2(tmp_path):
-    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0: no sample inside
+    # dx = 400/33 = 12.1 on a box beside the well: the grid starts at 12.1, so no
+    # sample lies in the classical region [-2.2, 2.2] of n = 0
     path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
-                        + "states: [0]\nfgh: {n_points: 33, n_states: 4, box: [-200, 200]}\n")
+                        + "states: [0]\nfgh: {n_points: 33, n_states: 4, box: [3, 403]}\n")
     src = REPO / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-m", "semibound.cli", "solve", "--config",
@@ -583,4 +584,15 @@ def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_validate_imports_no_scipy():
+    # scipy.linalg is imported by the FGH eigensolve and the phase spline when they run
+    code = ("import sys; from semibound.cli import main; "
+            f"rc = main(['validate', '--config', {str(BENCH_A)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"

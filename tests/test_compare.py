@@ -69,8 +69,9 @@ def test_distance_restricted_to_support_overlap():
 
 @pytest.mark.parametrize("metric", ["L1", "sup_interior"])
 def test_distance_with_no_sample_inside_the_well_is_a_config_error(benchmark_a, metric):
-    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0
-    spectrum = solve(benchmark_a, FghConfig(n_points=33, n_states=4, box=(-200.0, 200.0)))
+    # dx = 400/33 = 12.1, and a box beside the well: the grid points, spaced from
+    # the minimum at 0, start at 12.1, beyond the classical region [-2.2, 2.2] of n = 0
+    spectrum = solve(benchmark_a, FghConfig(n_points=33, n_states=4, box=(3.0, 403.0)))
     state = quantize(benchmark_a, 0)
     rho_cl = replace(classical_density(benchmark_a, state.energy, grid=spectrum.grid,
                                        tps=state.turning_points), n=0)

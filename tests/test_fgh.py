@@ -1,5 +1,4 @@
 import dataclasses
-import mmap
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from scipy.interpolate import CubicSpline
-from scipy.special import airy
+from scipy.special import airy, zeta
 
 import semibound.fgh
 from semibound import (
@@ -25,12 +24,14 @@ from semibound import (
     harmonic,
     linear,
     nonrelativistic,
+    power,
     relativistic,
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import GAUSS_OFFSET, kinetic_kernel, lower_hamiltonian, resolve_grid
+from semibound.fgh import _eigenpairs, kinetic_kernel, resolve_grid, zeta_negative
 from semibound.kinetics import from_callable as kinetic_from_callable
+from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
 
 from conftest import count_sign_changes
@@ -81,20 +82,19 @@ def test_zero_kinetic_gives_diagonal_potential():
     assert np.allclose(H, np.diag(grid**2 / 2), atol=1e-14)
 
 
-@pytest.mark.parametrize("box,shift_cells", [
-    ((-5.0, 5.0), 0.289),   # the minimum sits mid-cell: shift +0.289 dx, no wrap
-    ((-4.8, 5.0), -0.375),  # a raw shift of +0.625 dx wraps to -0.375 dx
-], ids=["no-wrap", "wrap"])
-def test_grid_puts_the_minimum_at_the_gauss_offset(box, shift_cells):
+@pytest.mark.parametrize("box", [(-5.0, 5.0), (-4.8, 5.0)], ids=["centred", "off-centre"])
+def test_grid_puts_a_point_on_the_minimum(box):
     prob = BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0))  # minimum at 0
-    grid = resolve_grid(prob, FghConfig(n_points=65, box=box, n_states=4))
-    dx = (box[1] - box[0]) / 65
-    assert grid[1] - grid[0] == pytest.approx(dx, rel=1e-12)
-    offset = (0.0 - grid[0]) / dx
-    assert offset - np.floor(offset) == pytest.approx(GAUSS_OFFSET, abs=1e-12)
-    shift = (grid[0] - box[0]) / dx
-    assert abs(shift) < 0.5
-    assert shift == pytest.approx(shift_cells, abs=1e-3)
+    N = 65
+    grid = resolve_grid(prob, FghConfig(n_points=N, box=box, n_states=4))
+    dx = (box[1] - box[0]) / N
+    assert np.allclose(np.diff(grid), dx, rtol=1e-12, atol=0)
+    assert 0.0 in grid
+    # the points are those nearest the box's cell midpoints box[0] + dx * (i + 1/2)
+    assert abs(grid[0] - (box[0] + 0.5 * dx)) <= 0.5 * dx
+    if box[0] == -box[1]:
+        assert grid[N // 2] == 0.0
+        assert np.array_equal(grid, -grid[::-1])
 
 
 def test_zero_potential_eigenvalues_are_kinetic_samples():
@@ -183,11 +183,96 @@ def test_partial_solve_matches_full_diagonalisation(benchmark_a, n_points, n_sta
         assert state.wavefunction[np.argmax(big)] > 0
 
 
+@pytest.mark.parametrize("fixture,n_points,n_states", [
+    ("benchmark_a", 513, 16), ("benchmark_b", 513, 7), ("oscillator", 257, 8),
+    ("benchmark_a", 33, 33),  # every state: n_states = N = 2M + 1
+])
+def test_parity_blocks_match_the_full_matrix(fixture, n_points, n_states, request):
+    prob = request.getfixturevalue(fixture)
+    grid = resolve_grid(prob, FghConfig(n_points=n_points, n_states=min(n_states, 16)))
+    energies, vectors = _eigenpairs(prob, grid, n_states)
+    full_e, full_v = np.linalg.eigh(build_hamiltonian(prob, grid))
+    full_v = full_v[:, :n_states]
+    assert np.allclose(energies, full_e[:n_states], rtol=1e-12, atol=0)
+    vectors = vectors * np.sign(np.sum(vectors * full_v, axis=0))  # eigh's signs are arbitrary
+    assert np.max(np.abs(vectors - full_v)) <= 1e-12
+
+
+def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
+    """Parities need not alternate: a block whose every state is among the lowest is solved again.
+
+    A kinetic law and a symmetric well given as random tables on the grid's
+    momenta and positions put up to four states of one parity among the
+    lowest five; the merge still equals the full matrix's spectrum.
+    """
+    N, rng = 21, np.random.default_rng(1)
+    calls = []
+    lowest = semibound.fgh._lowest
+
+    def counted(K, V, parity, count):
+        calls.append(parity)
+        return lowest(K, V, parity, count)
+
+    monkeypatch.setattr(semibound.fgh, "_lowest", counted)
+    solved_again = 0
+    for _ in range(12):
+        t, v = rng.standard_normal(N // 2 + 1), rng.standard_normal(N // 2 + 1)
+        law = kinetic_from_callable("table",
+                                    lambda p: t[np.rint(np.abs(p) * N / (2 * np.pi)).astype(int)],
+                                    deriv=lambda p: p, deriv2=lambda p: np.ones_like(p),
+                                    inverse=lambda y: y)
+        well = potential_from_callable("table", lambda x: v[np.rint(np.abs(x)).astype(int)],
+                                       minimum_location=0.0,
+                                       local_form=LocalForm(0.0, 0.0, 2.0, symmetric=True))
+        prob = BoundStateProblem(law, well)
+        for n_states in range(1, N // 2 + 1):
+            cfg = FghConfig(n_points=N, box=(-N / 2, N / 2), n_states=n_states)  # dx = 1
+            calls.clear()
+            energies = solve(prob, cfg).energies
+            solved_again += len(calls) > 2
+            full = np.linalg.eigvalsh(build_hamiltonian(prob, resolve_grid(prob, cfg)))
+            assert np.allclose(energies, full[:n_states], rtol=0, atol=1e-13)
+    assert solved_again > 0
+
+
+def test_zeta_at_negative_arguments():
+    assert zeta_negative(1.0) == pytest.approx(-1 / 12, rel=1e-15)
+    assert zeta_negative(3.0) == pytest.approx(1 / 120, rel=1e-15)
+    for q in (1.5, 2.5, 5.0, 7.3):
+        assert zeta_negative(q) == pytest.approx(float(zeta(-q)), rel=1e-14)
+    assert zeta_negative(1.5, 0.1) == pytest.approx(0.1 ** 1.5 * float(zeta(-1.5)), rel=1e-14)
+    for q in (2.0, 4.0, 2000.0):
+        assert zeta_negative(q) == 0.0
+        assert zeta_negative(q, 0.05) == 0.0
+
+
+def test_power_well_q_1_5_converges_at_high_order():
+    """p^2/2 + |x|^1.5: the corrected kink's energies change ~70-85 times less per doubling of N.
+
+    Uncorrected, the order is q + 1 = 2.5 (a factor 5.6 per doubling).
+    """
+    prob = BoundStateProblem(nonrelativistic(1.0), power(1.0, 1.5))
+    es = [solve(prob, FghConfig(n_points=N, n_states=8)).energies for N in (129, 257, 513)]
+    steps = [np.max(np.abs(a - b) / b) for a, b in zip(es, es[1:])]
+    assert steps[0] / steps[1] > 40.0
+    assert steps[1] < 1e-9
+
+
+def test_airy_spectrum_converges_at_fifth_order(airy_problem):
+    """p^2 + |x| against the Airy zeros, on a box wide enough for its tails: ~x35 per doubling."""
+    exact = airy_spectrum(8)
+    errors = [np.max(np.abs(solve(airy_problem, FghConfig(n_points=N, box=(-20.0, 20.0),
+                                                          n_states=8)).energies - exact) / exact)
+              for N in (257, 513)]
+    assert errors[0] / errors[1] > 25.0
+    assert errors[1] < 1e-8
+
+
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise scipy.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(semibound.fgh.scipy.linalg, "eigh", broken)
+    monkeypatch.setattr(scipy.linalg, "eigh", broken)
     with pytest.raises(EigensolverFailure, match="no convergence"):
         solve(benchmark_a, FghConfig(n_points=65, n_states=4))
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
@@ -237,7 +322,10 @@ def test_overflowing_potential_exits_1_without_traceback(tmp_path):
 
 
 def test_solve_holds_one_hamiltonian(benchmark_b):
-    """LAPACK works in place on H: the peak is about one N x N matrix, not two."""
+    """LAPACK works in place on each parity block, one block after the other.
+
+    The peak is about one (M+1) x (M+1) block, not a copy of it, nor both blocks, nor H.
+    """
     N = 1025
     cfg = FghConfig(n_points=N, n_states=32)
     solve(benchmark_b, cfg)
@@ -247,7 +335,7 @@ def test_solve_holds_one_hamiltonian(benchmark_b):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * N * N
+    assert peak <= 1.25 * 8 * (N // 2 + 1) ** 2
 
 
 def test_in_place_solve_is_repeatable(benchmark_a):
@@ -261,28 +349,17 @@ def test_in_place_solve_is_repeatable(benchmark_a):
 
 
 @pytest.mark.parametrize("n_points", [9, 513, 2049])
-def test_lower_hamiltonian_is_the_lower_triangle_of_the_dense_reference(benchmark_a, n_points):
+def test_hamiltonian_is_the_dense_reference(benchmark_a, n_points):
+    """toeplitz(K) + diag(V), with lam |x|'s kink correction on the minimum and its neighbours."""
     grid = resolve_grid(benchmark_a, FghConfig(n_points=n_points, n_states=4))
-    dense = scipy.linalg.toeplitz(kinetic_kernel(benchmark_a, n_points, grid[1] - grid[0]))
-    dense[np.diag_indices_from(dense)] += benchmark_a.potential.eval(grid)
-    L = lower_hamiltonian(benchmark_a, grid)
-    assert L.flags.f_contiguous
-    for j in range(n_points):
-        assert L[j:, j].tobytes() == dense[j:, j].tobytes()
-        assert not L[:j, j].any()
-    assert build_hamiltonian(benchmark_a, grid).tobytes() == dense.tobytes()
-
-
-def _resident_page_size() -> int:
-    """Bytes per page of a shared anonymous mapping: huge pages where shmem THP is on."""
-    thp = Path("/sys/kernel/mm/transparent_hugepage")
-    try:
-        mode = (thp / "shmem_enabled").read_text().split("[")[1].split("]")[0]
-        if mode in ("always", "within_size", "force"):
-            return int((thp / "hpage_pmd_size").read_text())
-    except (OSError, IndexError, ValueError):
-        pass
-    return mmap.PAGESIZE
+    dx, M = grid[1] - grid[0], n_points // 2
+    dense = scipy.linalg.toeplitz(kinetic_kernel(benchmark_a, n_points, dx))
+    V = benchmark_a.potential.eval(grid)
+    V[M - 1:M + 2] += 0.2 * dx * np.array([-1 / 120, 1 / 6 + 1 / 60, -1 / 120])
+    dense[np.diag_indices_from(dense)] += V
+    H = build_hamiltonian(benchmark_a, grid)
+    assert np.array_equal(H, H.T)
+    assert np.allclose(H, dense, rtol=0, atol=1e-15 * np.abs(dense).max())
 
 
 RSS_PROBE = """
@@ -299,17 +376,15 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
 
-def test_solve_commits_about_the_lower_triangle_only():
-    """Peak RSS grows by about 4 N^2 + page * N over a solve, not by the 8 N^2 of a full H.
+def test_solve_commits_about_one_parity_block():
+    """Peak RSS grows by about one 8 (M+1)^2 block over a split solve at N = 2049.
 
-    The bound is halfway between the two, so it shows the saving only where
-    the triangle is the smaller: where a page is less than 4 N bytes.
+    The bound, 1.5 blocks (12.6 MB), lies between one block and the two blocks
+    held at once, and well below the 8 N^2 (33.6 MB) of a full H.
     """
     pytest.importorskip("resource")
-    N, page = 2049, _resident_page_size()
-    if page >= 4 * N:
-        pytest.skip(f"{page}-byte pages: the lower triangle commits the whole of H")
-    bound = (4 * N * N + page * N + 8 * N * N) / 2
+    N = 2049
+    bound = 1.5 * 8 * (N // 2 + 1) ** 2
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
     result = subprocess.run([sys.executable, "-c", LAUNCHER, RSS_PROBE], env=env,

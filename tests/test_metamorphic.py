@@ -15,7 +15,7 @@ from semibound import (
     relativistic,
     solve,
 )
-from semibound.potentials import from_callable
+from semibound.potentials import LocalForm, from_callable
 
 NS = [0, 5, 15]
 FGH = FghConfig(n_points=513, n_states=16)
@@ -42,36 +42,40 @@ def test_translation_leaves_spectrum_unchanged(law):
     assert _rel(f1, f0) < 1e-12
 
 
-def _asymmetric_kink(law):
-    """The well with slopes 0.2 (x > 0) and 0.5 (x < 0) at a kink at 0, and its reflection."""
+def _asymmetric_kink(law, declared=True):
+    """The well with slopes 0.2 (x > 0) and 0.5 (x < 0) at a kink at 0, and its reflection.
+
+    Declared, each carries its local form, so that the FGH solve corrects the kink.
+    """
     well = lambda x: np.where(x > 0, 0.2 * x, -0.5 * x)
-    return (BoundStateProblem(law, from_callable("asym", well, minimum_location=0.0)),
+    form = lambda left, right: ({"local_form": LocalForm(left, right, 1.0, symmetric=False)}
+                                if declared else {})
+    return (BoundStateProblem(law, from_callable("asym", well, minimum_location=0.0,
+                                                 **form(0.5, 0.2))),
             BoundStateProblem(law, from_callable("mirror", lambda x: well(-x),
-                                                 minimum_location=0.0)))
+                                                 minimum_location=0.0, **form(0.2, 0.5))))
 
 
-def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged():
-    left, right = _asymmetric_kink(relativistic(0.2))
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged(declared):
+    # a grid point sits on the kink, so the two grids are mirror images
+    left, right = _asymmetric_kink(relativistic(0.2), declared)
     (w0, f0), (w1, f1) = _spectra(left), _spectra(right)
     assert _rel(w1, w0) < 1e-12
-    # the Gauss-offset anchor sits on opposite sides of the kink in the two grids
-    assert _rel(f1, f0) < 1e-5
+    assert _rel(f1, f0) < 1e-12
 
 
-def test_asymmetric_kink_reflection_gap_converges_at_third_order():
-    """The Gauss offset cancels the corner error only for equal slopes.
+def test_corrected_asymmetric_kink_converges_at_fifth_order():
+    """Both kink terms cancelled, the FGH energies change ~34 times less per doubling of N.
 
-    With slopes 0.2 and 0.5 the FGH reflection gap falls by ~8 per doubling of N
-    (measured 7.99-8.24 for n = 0, 5, 15 at N = 257 -> 513 -> 1025), not by 16.
+    Measured 34.2 for the lowest 16 levels at N = 257 -> 513 -> 1025; an
+    uncorrected kink with unequal slopes converges at third order (x8).
     """
-    left, right = _asymmetric_kink(nonrelativistic(1.0))
-    gaps = []
-    for n_points in (257, 513, 1025):
-        cfg = FghConfig(n_points=n_points, n_states=16)
-        e0, e1 = solve(left, cfg).energies[NS], solve(right, cfg).energies[NS]
-        gaps.append(np.abs(e1 - e0) / np.abs(e0))
-    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
-    assert np.all((ratios >= 6.0) & (ratios <= 10.0))
+    asym, _ = _asymmetric_kink(nonrelativistic(1.0))
+    es = [solve(asym, FghConfig(n_points=N, n_states=16)).energies for N in (257, 513, 1025)]
+    steps = [np.max(np.abs(a - b) / np.abs(b)) for a, b in zip(es, es[1:])]
+    assert 25.0 <= steps[0] / steps[1] <= 45.0
+    assert steps[1] < 1e-8
 
 
 def test_massless_linear_energies_scale_as_sqrt_hbar_lambda():

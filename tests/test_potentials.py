@@ -20,6 +20,7 @@ from semibound import (
     turning_points,
 )
 from semibound.kinetics import from_callable as kinetic_from_callable
+from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
 
 
@@ -181,3 +182,21 @@ def test_built_in_wells_never_call_brent(monkeypatch):
     turning_points(BoundStateProblem(
         massless(), potential_from_callable("v", linear(0.2).eval, minimum_location=0.0)), 1.0)
     assert len(calls) == 2
+
+
+def test_builtin_wells_declare_their_local_form():
+    assert linear(0.2).local_form == LocalForm(0.2, 0.2, 1.0, symmetric=True)
+    assert harmonic(2.0, 3.0).local_form == LocalForm(9.0, 9.0, 2.0, symmetric=True)
+    assert power(0.5, 1.5).local_form == LocalForm(0.5, 0.5, 1.5, symmetric=True)
+    assert potential_from_callable("v", np.abs, minimum_location=0.0).local_form is None
+
+
+@pytest.mark.parametrize("left,right,q,symmetric", [
+    (0.2, 0.5, 1.0, True),       # a symmetric well has equal coefficients
+    (0.2, 0.2, 0.0, False),      # q > 0
+    (0.2, np.inf, 1.0, False),
+    (-0.2, 0.2, 1.0, False),
+])
+def test_local_form_rejects_inconsistent_values(left, right, q, symmetric):
+    with pytest.raises(ValueError):
+        LocalForm(left, right, q, symmetric=symmetric)
