@@ -56,13 +56,13 @@ def _asymmetric_kink(law, declared=True):
                                                  minimum_location=0.0, **form(0.2, 0.5))))
 
 
-@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
-def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged(declared):
+def test_reflection_of_asymmetric_well_leaves_spectrum_unchanged():
     # a grid point sits on the kink, so the two grids are mirror images
-    left, right = _asymmetric_kink(relativistic(0.2), declared)
-    (w0, f0), (w1, f1) = _spectra(left), _spectra(right)
-    assert _rel(w1, w0) < 1e-12
-    assert _rel(f1, f0) < 1e-12
+    for declared in (True, False):
+        left, right = _asymmetric_kink(relativistic(0.2), declared)
+        (w0, f0), (w1, f1) = _spectra(left), _spectra(right)
+        assert _rel(w1, w0) < 1e-12
+        assert _rel(f1, f0) < 1e-12
 
 
 def test_corrected_asymmetric_kink_converges_at_fifth_order():
