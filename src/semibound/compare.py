@@ -124,8 +124,8 @@ def density_distance(d1: SampledDensity, d2: SampledDensity,
 
     Samples where either density is non-finite (turning-point sentinels) are
     excluded. The sup-norm drops a margin of 2% of d at each turning point.
-    A grid with no such sample in the region raises GridTooCoarse, naming the
-    state and the grid spacing.
+    A grid with fewer than two such samples in the region, too coarse to
+    resolve it, raises GridTooCoarse, naming the state and the grid spacing.
     """
     g1, g2 = d1.grid, d2.grid
     if g1.shape != g2.shape or np.max(np.abs(g1 - g2)) > 1e-12 * max(1.0, np.max(np.abs(g1))):
@@ -148,9 +148,9 @@ def density_distance(d1: SampledDensity, d2: SampledDensity,
     else:
         raise ValueError(f"unknown metric {metric!r}")
     mask = finite & (g1 >= lo) & (g1 <= hi)
-    if not mask.any():
+    if np.count_nonzero(mask) < 2:
         n = d1.n if d1.n is not None else d2.n
-        raise GridTooCoarse(f"state n={n}: no grid sample where both densities are finite "
+        raise GridTooCoarse(f"state n={n}: fewer than 2 grid samples where both densities are finite "
                             f"in [{lo:.6g}, {hi:.6g}], the {metric} region, at grid spacing "
                             f"dx = {dx:.6g}; a finer or narrower FGH grid is needed")
     diff = np.abs(d1.values[mask] - d2.values[mask])

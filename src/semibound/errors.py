@@ -72,4 +72,4 @@ class NoStatesRequested(ConfigError, ValueError):
 
 
 class GridTooCoarse(ConfigError):
-    """A density grid has no sample inside the region a distance is measured over."""
+    """A density grid has fewer than two samples inside the region a distance is measured over."""

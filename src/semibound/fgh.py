@@ -6,28 +6,38 @@ k = -(N-1)/2 .. (N-1)/2, giving the real symmetric matrix
 
     H_ij = V(x_i) delta_ij + K(i - j),  K(r) = (1/N) sum_k T(p_k) cos(2 pi k r / N),
 
-with K from one real DFT. One grid point sits on the potential minimum x0.
-A kink there, V(x0 + s) - V(x0) ~ c|s|^q, makes the grid sums that H stands
-for err as the generalized Euler-Maclaurin formula for a |x|^q singularity
-says (Navot, J. Math. Phys. 40, 271 (1961)): by
-2 zeta(-q) cbar h^q g(0) h + zeta(-q-2) cbar h^q g''(0) h^3 + ..., with h = dx,
-cbar the mean of the two one-sided coefficients and g the smooth rest of the
-integrand. For a well that declares its form (PotentialLaw.local_form), two
-local edits of the diagonal cancel both terms: with beta = -zeta(-q-2) cbar h^q,
-V at the minimum gains -2 zeta(-q) cbar h^q - 2 beta and V at each neighbour
-gains beta. For q = 1 that is cbar h/6 + cbar h/60 and -cbar h/120; at even q
-(a smooth minimum) both are exactly 0.
+with K from one real DFT.
 
-A well symmetric about x0, on a grid centred on it, splits H into an even
+A well that declares its form at the minimum x0 (PotentialLaw.local_form),
+V(x0 + s) - V(x0) ~ c_R s^q for s > 0 and c_L |s|^q for s < 0, has a grid
+point on x0. The grid sums that H stands for then err as the generalized
+Euler-Maclaurin formula for a |s|^q singularity says (Navot, J. Math. Phys.
+40, 271 (1961)): with h = dx, g the smooth rest of the integrand and
+cbar = (c_L + c_R) / 2, by
+
+    2 zeta(-q) cbar h^q g(0) h + zeta(-q-1) (c_R - c_L) h^q g'(0) h^2
+        + zeta(-q-2) cbar h^q g''(0) h^3 + ...
+
+Three local edits of the diagonal cancel these three terms: with
+beta = -zeta(-q-2) cbar h^q and tilt = zeta(-q-1) (c_R - c_L) h^q / 2,
+V at x0 gains -2 zeta(-q) cbar h^q - 2 beta, V at x0 - h gains beta + tilt
+and V at x0 + h gains beta - tilt. For q = 1 that is cbar h/6 + cbar h/60 at
+x0 and -cbar h/120 at each neighbour (zeta(-2) = 0); at even q (a smooth
+minimum) every edit is exactly 0. A well that declares no form gets no
+edit; its grid puts x0 at the Gauss offset 1/2 - 1/(2 sqrt 3) inside a cell
+instead, which cancels the O(h^2) corner error of a kink with equal slopes
+but not the third-order one of unequal slopes.
+
+When the diagonal is mirror-equal about the grid's centre point (a
+symmetric declared well on a box centred on x0), H splits into an even
 block of size M + 1 = (N + 1)/2 and an odd block of size M, with i, j >= 0
-counting grid points out from x0:
+counting grid points out from the centre:
 
     H+_ij = K(i - j) + K(i + j) + V_i   (row and column 0 of the K part scaled by 1/sqrt 2),
     H-_ij = K(i - j) - K(i + j) + V_i   (i, j >= 1),
 
 each solved for its lowest states at about a quarter of the cost of the
-full matrix. Any other well, or a box not centred on x0, is one block of
-size N.
+full matrix. Any other H is one block of size N.
 """
 
 from __future__ import annotations
@@ -47,6 +57,8 @@ from .potentials import LocalForm, TurningPoints
 
 #: box padding beyond the turning points, as a fraction of d
 BOX_PADDING = 0.35
+#: fractional cell offset of the minimum of a well that declares no local form
+GAUSS_OFFSET = 0.5 - 0.5 / np.sqrt(3.0)
 #: B_2k / (2k)! for k = 1 .. 6: the Euler-Maclaurin tail of zeta(s)
 _TAIL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
 
@@ -98,16 +110,17 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
-def _grid(box: Tuple[float, float], n_points: int, anchor: float) -> np.ndarray:
-    """n_points spaced dx = (x_max - x_min) / n_points, one on anchor.
+def _grid(box: Tuple[float, float], n_points: int, anchor: float, offset: float) -> np.ndarray:
+    """n_points on the lattice anchor + dx * (j - offset), j integer, dx = (x_max - x_min) / n_points.
 
-    They are the points of that lattice nearest the box's cell midpoints, so
-    a box centred on anchor gives anchor + dx * (-M .. M), M = (n_points - 1) / 2.
+    They are the lattice points nearest the box's cell midpoints, so a box
+    centred on anchor gives anchor + dx * (-M - offset .. M - offset),
+    M = (n_points - 1) / 2.
     """
     x_min, x_max = box
     dx = (x_max - x_min) / n_points
-    k = round((anchor - x_min) / dx - 0.5)
-    return anchor + dx * np.arange(-k, n_points - k)
+    k = round((anchor - x_min) / dx - offset - 0.5)
+    return anchor + dx * (np.arange(-k, n_points - k) - offset)
 
 
 def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
@@ -125,7 +138,8 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         box = tuple(config.box)
         if not -np.inf < box[0] < box[1] < np.inf:
             raise ConfigError(f"fgh.box needs finite x_min < x_max, got {list(box)}")
-    return _grid(box, config.n_points, problem.potential.minimum_location)
+    offset = 0.0 if problem.potential.local_form is not None else GAUSS_OFFSET
+    return _grid(box, config.n_points, problem.potential.minimum_location, offset)
 
 
 def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.ndarray:
@@ -148,40 +162,41 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     return np.fft.fft(c).real / N
 
 
-def zeta_negative(q: float, scale: float = 1.0) -> float:
-    """scale**q * zeta(-q) for q > 0 and scale > 0; exactly 0.0 at even q.
+def _zeta_negative(q: float) -> float:
+    """zeta(-q) for q > 0, exactly 0.0 at even q.
 
-    By the reflection formula, zeta(-q) = -2 (2 pi)^-(1+q) sin(pi q / 2) Gamma(1+q) zeta(1+q).
-    The powers and Gamma are combined in logarithms, so the product stays
-    finite where zeta(-q) alone would overflow; it is inf only where the
-    product itself leaves the float range. zeta(1 + q) is summed to 9 terms
-    with a six-term Euler-Maclaurin tail.
+    By the reflection formula, zeta(-q) = -2 (2 pi)^-(1+q) sin(pi q / 2) Gamma(1+q) zeta(1+q),
+    with zeta(1 + q) summed to 9 terms and a six-term Euler-Maclaurin tail.
+    Gamma(1+q) overflows, as an OverflowError, beyond q = 170.
     """
     if q % 2 == 0:
         return 0.0
     s, n = 1.0 + q, 10
-    try:
-        size = math.exp(math.lgamma(s) - s * math.log(2.0 * math.pi) + q * math.log(scale))
-    except OverflowError:
-        size = math.inf
     zeta = sum(j ** -s for j in range(1, n)) + n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** -s
     rising = s * n ** (-s - 1.0)  # s (s+1) .. (s+2k-2) n^(1-s-2k), here at k = 1
     for k, coeff in enumerate(_TAIL, start=1):
         zeta += coeff * rising
         rising *= (s + 2 * k - 1) * (s + 2 * k) / (n * n)
-    return -2.0 * math.sin(0.5 * math.pi * q) * zeta * size
+    return -2.0 * math.sin(0.5 * math.pi * q) * math.gamma(s) * (2.0 * math.pi) ** -s * zeta
 
 
-def _minimum_index(problem: BoundStateProblem, grid: np.ndarray) -> int:
-    """Index of the grid point on the potential minimum (outside 0 .. N-1 for a box without it)."""
-    return round((problem.potential.minimum_location - grid[0]) / (grid[1] - grid[0]))
+def _kink_correction(form: LocalForm, dx: float) -> Tuple[float, float, float]:
+    """The diagonal edits at the minimum's left neighbour, the minimum and its right neighbour.
 
-
-def _kink_correction(form: LocalForm, dx: float) -> Tuple[float, float]:
-    """(at the minimum, at each neighbour): the diagonal edits that cancel the kink's error."""
+    They cancel the kink's error terms in h^(q+1), h^(q+2) and h^(q+3) (see
+    the module docstring). An exponent whose zeta(-q - 2) overflows raises
+    EigensolverFailure.
+    """
+    try:
+        zetas = [_zeta_negative(form.q + k) for k in range(3)]
+    except OverflowError as exc:
+        raise EigensolverFailure(f"the kink correction overflows at exponent "
+                                 f"q = {form.q:.6g}") from exc
+    size = dx ** form.q
     c_bar = 0.5 * (form.left + form.right)
-    beta = -c_bar * zeta_negative(form.q + 2.0, dx) / (dx * dx)
-    return -2.0 * c_bar * zeta_negative(form.q, dx) - 2.0 * beta, beta
+    beta = -c_bar * zetas[2] * size
+    tilt = 0.5 * (form.right - form.left) * zetas[1] * size
+    return beta + tilt, -2.0 * c_bar * zetas[0] * size - 2.0 * beta, beta - tilt
 
 
 def _kernel_and_potential(problem: BoundStateProblem,
@@ -200,9 +215,8 @@ def _kernel_and_potential(problem: BoundStateProblem,
     V = np.array(problem.potential.eval(grid), dtype=float)
     form = problem.potential.local_form
     if form is not None:
-        k = _minimum_index(problem, grid)
-        centre, neighbour = _kink_correction(form, dx)
-        for i, edit in ((k - 1, neighbour), (k, centre), (k + 1, neighbour)):
+        k = round((problem.potential.minimum_location - grid[0]) / dx)
+        for i, edit in zip((k - 1, k, k + 1), _kink_correction(form, dx)):
             if 0 <= i < N:
                 V[i] += edit
     bad = ~np.isfinite(K[0] + V)
@@ -275,17 +289,16 @@ def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
 def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
     """Lowest n_states eigenvalues of H on grid, ascending, and their unit eigenvectors as columns.
 
-    A well declared symmetric, on a grid centred on its minimum, is solved as
+    An H whose diagonal is mirror-equal about the centre point is solved as
     its even and odd blocks, one after the other, each first for
     (n_states + 1) // 2 + 1 states. A block all of whose states land among
     the lowest n_states of the merge may hold more below them, so it is
     solved again for n_states: the merge is then that of the full matrix,
-    whatever the order of the parities. Any other well is one block.
+    whatever the order of the parities. Any other H is one block.
     """
     K, V = _kernel_and_potential(problem, grid)
     M = len(grid) // 2
-    form = problem.potential.local_form
-    if form is not None and form.symmetric and _minimum_index(problem, grid) == M:
+    if np.array_equal(V[M + 1:], V[M - 1::-1]):
         blocks, first = {1: V[M:], -1: V[M + 1:]}, (n_states + 1) // 2 + 1
     else:
         blocks, first = {0: V}, n_states

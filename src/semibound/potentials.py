@@ -32,21 +32,16 @@ class LocalForm:
 
     left, right : the one-sided coefficients c for s < 0 and for s > 0
     q           : the exponent, q > 0
-    symmetric   : V(x0 - s) = V(x0 + s) for every s, not only near x0
     """
 
     left: float
     right: float
     q: float
-    symmetric: bool
 
     def __post_init__(self):
         if not (0 < self.q < np.inf and 0 <= self.left < np.inf and 0 <= self.right < np.inf):
             raise ValueError(f"local form needs finite q > 0 and coefficients >= 0, got "
                              f"left={self.left}, right={self.right}, q={self.q}")
-        if self.symmetric and self.left != self.right:
-            raise ValueError(f"a symmetric well has equal coefficients, got "
-                             f"left={self.left}, right={self.right}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +51,9 @@ class PotentialLaw:
     eval       : x -> V(x), vectorized over position arrays
     inverse    : E_B -> (a, b), the roots of V(x) = E_B either side of the
                  minimum, for E_B above the minimum value
-    local_form : the well's form at its minimum, when declared; the FGH solve
-                 corrects the grid's sampling of that kink and, for a symmetric
-                 well, splits into parity blocks (see fgh)
+    local_form : the well's form at its minimum, when declared; the FGH grid
+                 then has a point on the minimum and corrects its sampling of
+                 the kink there (see fgh)
     """
 
     name: str
@@ -99,7 +94,7 @@ def linear(lam: float) -> PotentialLaw:
         inverse=lambda e_b: _mirrored(e_b * inv_lam),
         minimum_location=0.0,
         minimum_value=0.0,
-        local_form=LocalForm(lam, lam, 1.0, symmetric=True),
+        local_form=LocalForm(lam, lam, 1.0),
     )
 
 
@@ -117,7 +112,7 @@ def harmonic(mass: float, omega: float) -> PotentialLaw:
         inverse=lambda e_b: _mirrored(math.sqrt(e_b * inv_k)),
         minimum_location=0.0,
         minimum_value=0.0,
-        local_form=LocalForm(k, k, 2.0, symmetric=True),
+        local_form=LocalForm(k, k, 2.0),
     )
 
 
@@ -132,7 +127,7 @@ def power(c: float, q: float) -> PotentialLaw:
         inverse=lambda e_b: _mirrored((e_b * inv_c) ** inv_q),
         minimum_location=0.0,
         minimum_value=0.0,
-        local_form=LocalForm(c, c, q, symmetric=True),
+        local_form=LocalForm(c, c, q),
     )
 
 
@@ -146,7 +141,7 @@ def from_callable(
 
     A search that ends at +-SEARCH_WIDTH is a ValueError. Turning points are
     found by `brentq` (see `_brent_inverse`). Without a `local_form` the FGH
-    solve applies no kink correction and no parity split.
+    grid puts the minimum at the Gauss offset and applies no kink correction.
     """
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:

@@ -373,10 +373,9 @@ def test_fgh_pipeline_solves_every_requested_state(tmp_path):
 
 
 def test_density_metric_on_a_grid_too_coarse_exits_2(tmp_path):
-    # dx = 400/33 = 12.1 on a box beside the well: the grid starts at 12.1, so no
-    # sample lies in the classical region [-2.2, 2.2] of n = 0
+    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0: one sample, at 0
     path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
-                        + "states: [0]\nfgh: {n_points: 33, n_states: 4, box: [3, 403]}\n")
+                        + "states: [0]\nfgh: {n_points: 33, n_states: 4, box: [-200, 200]}\n")
     src = REPO / "src"
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-m", "semibound.cli", "solve", "--config",

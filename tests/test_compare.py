@@ -69,9 +69,8 @@ def test_distance_restricted_to_support_overlap():
 
 @pytest.mark.parametrize("metric", ["L1", "sup_interior"])
 def test_distance_with_no_sample_inside_the_well_is_a_config_error(benchmark_a, metric):
-    # dx = 400/33 = 12.1, and a box beside the well: the grid points, spaced from
-    # the minimum at 0, start at 12.1, beyond the classical region [-2.2, 2.2] of n = 0
-    spectrum = solve(benchmark_a, FghConfig(n_points=33, n_states=4, box=(3.0, 403.0)))
+    # dx = 400/33 = 12.1 against a classical width of 4.39 at n = 0: one sample, at 0
+    spectrum = solve(benchmark_a, FghConfig(n_points=33, n_states=4, box=(-200.0, 200.0)))
     state = quantize(benchmark_a, 0)
     rho_cl = replace(classical_density(benchmark_a, state.energy, grid=spectrum.grid,
                                        tps=state.turning_points), n=0)
@@ -82,12 +81,12 @@ def test_distance_with_no_sample_inside_the_well_is_a_config_error(benchmark_a, 
 
 
 def test_sup_norm_needs_a_sample_inside_its_margins():
-    # the one sample at 0.98 lies in the L1 region [-1, 1] but not in [-0.96, 0.96]
-    grid = np.array([-2.98, 0.98, 4.94])
-    a = _density([0.1, 0.5, 0.1], grid, support=TurningPoints(-1.0, 1.0), n=3)
-    b = _density([0.1, 0.25, 0.1], grid, n=3)
-    assert density_distance(a, b, "L1") == pytest.approx(3.96 * 0.25, rel=1e-14)
-    with pytest.raises(GridTooCoarse, match=r"state n=3: .*\[-0\.96, 0\.96\].* dx = 3\.96"):
+    # the two samples at -+0.98 lie in the L1 region [-1, 1] but not in [-0.96, 0.96]
+    grid = np.array([-2.94, -0.98, 0.98, 2.94])
+    a = _density([0.1, 0.5, 0.5, 0.1], grid, support=TurningPoints(-1.0, 1.0), n=3)
+    b = _density([0.1, 0.25, 0.25, 0.1], grid, n=3)
+    assert density_distance(a, b, "L1") == pytest.approx(1.96 * 0.5, rel=1e-14)
+    with pytest.raises(GridTooCoarse, match=r"state n=3: .*\[-0\.96, 0\.96\].* dx = 1\.96"):
         density_distance(a, b, "sup_interior")
 
 

@@ -29,7 +29,7 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import _eigenpairs, kinetic_kernel, resolve_grid, zeta_negative
+from semibound.fgh import GAUSS_OFFSET, _eigenpairs, _zeta_negative, kinetic_kernel, resolve_grid
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
@@ -95,6 +95,19 @@ def test_grid_puts_a_point_on_the_minimum(box):
     if box[0] == -box[1]:
         assert grid[N // 2] == 0.0
         assert np.array_equal(grid, -grid[::-1])
+
+
+@pytest.mark.parametrize("box", [(-5.0, 5.0), (-4.8, 5.0)], ids=["centred", "off-centre"])
+def test_undeclared_well_puts_the_minimum_at_the_gauss_offset(box):
+    well = potential_from_callable("harmonic", lambda x: 0.5 * x ** 2, minimum_location=0.0)
+    prob = BoundStateProblem(nonrelativistic(1.0), well)
+    N = 65
+    grid = resolve_grid(prob, FghConfig(n_points=N, box=box, n_states=4))
+    dx = (box[1] - box[0]) / N
+    assert np.allclose(np.diff(grid), dx, rtol=1e-12, atol=0)
+    offset = (0.0 - grid[0]) / dx
+    assert offset - np.floor(offset) == pytest.approx(GAUSS_OFFSET, abs=1e-12)
+    assert abs(grid[0] - (box[0] + 0.5 * dx)) <= 0.5 * dx
 
 
 def test_zero_potential_eigenvalues_are_kinetic_samples():
@@ -223,7 +236,7 @@ def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
                                     inverse=lambda y: y)
         well = potential_from_callable("table", lambda x: v[np.rint(np.abs(x)).astype(int)],
                                        minimum_location=0.0,
-                                       local_form=LocalForm(0.0, 0.0, 2.0, symmetric=True))
+                                       local_form=LocalForm(0.0, 0.0, 2.0))
         prob = BoundStateProblem(law, well)
         for n_states in range(1, N // 2 + 1):
             cfg = FghConfig(n_points=N, box=(-N / 2, N / 2), n_states=n_states)  # dx = 1
@@ -236,14 +249,12 @@ def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
 
 
 def test_zeta_at_negative_arguments():
-    assert zeta_negative(1.0) == pytest.approx(-1 / 12, rel=1e-15)
-    assert zeta_negative(3.0) == pytest.approx(1 / 120, rel=1e-15)
+    assert _zeta_negative(1.0) == pytest.approx(-1 / 12, rel=1e-15)
+    assert _zeta_negative(3.0) == pytest.approx(1 / 120, rel=1e-15)
     for q in (1.5, 2.5, 5.0, 7.3):
-        assert zeta_negative(q) == pytest.approx(float(zeta(-q)), rel=1e-14)
-    assert zeta_negative(1.5, 0.1) == pytest.approx(0.1 ** 1.5 * float(zeta(-1.5)), rel=1e-14)
+        assert _zeta_negative(q) == pytest.approx(float(zeta(-q)), rel=1e-14)
     for q in (2.0, 4.0, 2000.0):
-        assert zeta_negative(q) == 0.0
-        assert zeta_negative(q, 0.05) == 0.0
+        assert _zeta_negative(q) == 0.0
 
 
 def test_power_well_q_1_5_converges_at_high_order():
@@ -266,6 +277,42 @@ def test_airy_spectrum_converges_at_fifth_order(airy_problem):
               for N in (257, 513)]
     assert errors[0] / errors[1] > 25.0
     assert errors[1] < 1e-8
+
+
+def test_undeclared_equal_slope_kink_converges_at_fourth_order():
+    """p^2 + |x| as an opaque callable: the Gauss offset alone gives ~x16 per doubling of N."""
+    exact = airy_spectrum(8)
+    prob = BoundStateProblem(nonrelativistic(0.5),
+                             potential_from_callable("abs", np.abs, minimum_location=0.0))
+    errors = [np.max(np.abs(solve(prob, FghConfig(n_points=N, box=(-20.0, 20.0),
+                                                  n_states=8)).energies - exact) / exact)
+              for N in (257, 513)]
+    assert 12.0 < errors[0] / errors[1] < 20.0
+    assert errors[1] < 1e-7
+
+
+def test_asymmetric_power_kink_converges_at_high_order():
+    """Coefficients 0.5 (x < 0) and 0.2 (x > 0) on |x|^1.5: ~x45 per doubling of N.
+
+    That is h^(q+4). Without the tilt of the neighbours' edits, the
+    zeta(-q-1) (c_R - c_L) g'(0) term would leave h^(q+2), x11.3. The box is
+    centred on the kink, so its grids end at the same points for every N.
+    """
+    well = potential_from_callable("asym", lambda x: np.where(x > 0, 0.2, 0.5) * np.abs(x) ** 1.5,
+                                   minimum_location=0.0, local_form=LocalForm(0.5, 0.2, 1.5))
+    prob = BoundStateProblem(nonrelativistic(1.0), well)
+    es = [solve(prob, FghConfig(n_points=N, box=(-25.0, 25.0), n_states=8)).energies
+          for N in (257, 513, 1025)]
+    steps = [np.max(np.abs(a - b) / b) for a, b in zip(es, es[1:])]
+    assert 30.0 < steps[0] / steps[1] < 60.0
+    assert steps[1] < 1e-8
+
+
+def test_kink_correction_overflow_is_an_eigensolver_failure():
+    # Gamma(1 + q) of zeta(-q - 1) overflows at q = 170
+    prob = BoundStateProblem(nonrelativistic(1.0), power(1.0, 170.0))
+    with pytest.raises(EigensolverFailure, match="q = 170"):
+        solve(prob, FghConfig(n_points=65, box=(-2.0, 2.0), n_states=2))
 
 
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):

@@ -185,18 +185,17 @@ def test_built_in_wells_never_call_brent(monkeypatch):
 
 
 def test_builtin_wells_declare_their_local_form():
-    assert linear(0.2).local_form == LocalForm(0.2, 0.2, 1.0, symmetric=True)
-    assert harmonic(2.0, 3.0).local_form == LocalForm(9.0, 9.0, 2.0, symmetric=True)
-    assert power(0.5, 1.5).local_form == LocalForm(0.5, 0.5, 1.5, symmetric=True)
+    assert linear(0.2).local_form == LocalForm(0.2, 0.2, 1.0)
+    assert harmonic(2.0, 3.0).local_form == LocalForm(9.0, 9.0, 2.0)
+    assert power(0.5, 1.5).local_form == LocalForm(0.5, 0.5, 1.5)
     assert potential_from_callable("v", np.abs, minimum_location=0.0).local_form is None
 
 
-@pytest.mark.parametrize("left,right,q,symmetric", [
-    (0.2, 0.5, 1.0, True),       # a symmetric well has equal coefficients
-    (0.2, 0.2, 0.0, False),      # q > 0
-    (0.2, np.inf, 1.0, False),
-    (-0.2, 0.2, 1.0, False),
+@pytest.mark.parametrize("left,right,q", [
+    (0.2, 0.2, 0.0),      # q > 0
+    (0.2, np.inf, 1.0),
+    (-0.2, 0.2, 1.0),
 ])
-def test_local_form_rejects_inconsistent_values(left, right, q, symmetric):
+def test_local_form_rejects_inconsistent_values(left, right, q):
     with pytest.raises(ValueError):
-        LocalForm(left, right, q, symmetric=symmetric)
+        LocalForm(left, right, q)
