@@ -73,10 +73,12 @@ class FghConfig:
         """This config with n_states raised, if need be, to hold every quantum number in ns.
 
         An n_states below 1 is kept, for resolve_grid to refuse on every route.
+        An empty ns is a ValueError.
         """
-        if self.n_states < 1:
-            return self
-        return replace(self, n_states=max(self.n_states, max(ns) + 1))
+        top = max(ns, default=None)
+        if top is None:
+            raise ValueError("at least one state is needed, got an empty list of quantum numbers")
+        return self if self.n_states < 1 else replace(self, n_states=max(self.n_states, top + 1))
 
 
 @dataclass(frozen=True)

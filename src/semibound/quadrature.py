@@ -7,6 +7,7 @@ Gauss-Legendre with panel doubling converges rapidly. Every integral is two
 halves cut at the well's minimum (where any kink sits), each smooth with one
 turning point. An integral not converged within the node budget raises
 QuadratureNotConverged rather than returning its last estimate.
+`cumulative_gauss` instead sums fixed panels into a running integral.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ MAX_NODES = 2**20
 PANEL_ORDER = 16
 #: panels of the first (coarsest) level of adaptive_gauss
 START_PANELS = 2
+#: Gauss-Legendre order per panel of cumulative_gauss
+CUMULATIVE_ORDER = 4
 
 #: Gauss-Legendre nodes and weights of one panel, on [-1, 1]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
+_CUMULATIVE_NODES, _CUMULATIVE_WEIGHTS = np.polynomial.legendre.leggauss(CUMULATIVE_ORDER)
 
 
 def composite_gauss(f: Callable, lo: float, hi: float, panels: int) -> float:
@@ -65,6 +69,19 @@ def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
                 f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {MAX_NODES} nodes "
                 f"per level: last estimates {prev!r}, {cur!r}")
         prev = cur
+
+
+def cumulative_gauss(f: Callable, u: np.ndarray) -> tuple:
+    """(F, f(u)) with F[i] the integral of f from u[0] to u[i].
+
+    Each panel [u[i], u[i+1]] takes CUMULATIVE_ORDER Gauss-Legendre nodes;
+    f is evaluated once, on the samples and the panel nodes together.
+    """
+    half = 0.5 * np.diff(u)
+    nodes = 0.5 * (u[1:] + u[:-1])[:, None] + half[:, None] * _CUMULATIVE_NODES
+    y = np.asarray(f(np.concatenate((u, nodes.ravel()))), dtype=float)
+    panels = y[len(u):].reshape(nodes.shape) @ _CUMULATIVE_WEIGHTS * half
+    return np.concatenate(([0.0], np.cumsum(panels))), y[:len(u)]
 
 
 def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:

@@ -9,7 +9,8 @@ Inside the well the semiclassical wavefunction is
 
 with Phi(x) the partial action integral from x to the right turning point and
 the Langer phase pi/4 fixed by the small-momentum reduction to an effective
-Schroedinger problem near the turning points.
+Schroedinger problem near the turning points. Phi is summed by Gauss-Legendre
+panels between even samples and interpolated by cubic Hermite pieces between them.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from .classical import (Provenance, SampledDensity, classical_density, default_g
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints, binding_energy, turning_points
-from .quadrature import well_integral, well_integral_pair
+from .quadrature import cumulative_gauss, sqrt_substituted, well_integral, well_integral_pair
 
 #: Langer connection phase at a linear turning point
 LANGER_PHASE = np.pi / 4.0
 #: fraction of d within which a grid sample counts as sitting on a turning point
 TP_EXCLUSION = 1e-9
-#: samples per side for the cumulative phase spline
+#: phase samples per half-well, one Gauss-Legendre panel between neighbours
 PHASE_SAMPLES = 2049
 #: quantization stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE
 RESOLUTION_ULPS = 4
@@ -183,82 +184,48 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
                      alpha=alpha, action_residual=float(abs(best.action - target)))
 
 
-def _spline_antiderivative(u: np.ndarray, y: np.ndarray) -> Callable:
-    """v -> integral from u[0] to v of the not-a-knot cubic spline through (u, y).
-
-    Operation for operation what scipy's CubicSpline(u, y).antiderivative()
-    computes and how its PPoly evaluates (powers of v - u[i], constant first).
-    scipy.linalg is imported here, not with the module, so that a CLI run
-    that solves nothing does not load it.
-    """
-    from scipy.linalg import solve_banded
-
-    if not np.all(np.isfinite(y)):
-        raise ValueError("`y` must contain only finite values.")
-    n, dx = len(u), np.diff(u)
-    slope = np.diff(y) / dx
-    ab, rhs = np.zeros((3, n)), np.empty((n, 1))
-    ab[0, 2:], ab[1, 1:-1], ab[2, :-2] = dx[:-1], 2 * (dx[:-1] + dx[1:]), dx[1:]
-    rhs[1:-1, 0] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d0, d1 = u[2] - u[0], u[-1] - u[-3]
-    ab[1, 0], ab[0, 1], ab[1, -1], ab[2, -2] = dx[1], d0, dx[-2], d1
-    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = solve_banded((1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)[:, 0]
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    # coefficients of (v - u[i])^1..4 on piece i; the constants accumulate left to right
-    c = np.stack((y[:-1], s[:-1] / 2, ((slope - s[:-1]) / dx - t) / 3, t / dx / 4), axis=1)
-    const = np.zeros(n - 1)
-    const[1:] = np.cumsum(c[:-1] * np.cumprod(np.repeat(dx[:-1, None], 4, axis=1), axis=1))[3::4]
-
-    def h(v):
-        v = np.asarray(v, dtype=float)
-        i = np.clip(np.searchsorted(u, v, side="right") - 1, 0, n - 2)
-        z = v - u[i]
-        out, zk = const[i], z
-        for k in range(4):
-            out = out + c[i, k] * zk
-            zk = zk * z
-        return out
-
-    return h
-
-
 def _half_well_phase(momentum: Callable, tp: float, x0: float, sqrt: bool) -> Callable:
     """x -> integral of p between the turning point tp and x, for x on tp's side of x0.
 
-    Accumulated by a cubic spline in u = |x - tp|^(1/k) with k = 2 where the
-    layout sqrt-substitutes tp (p vanishes like sqrt there and the integrand
-    k*u^(k-1)*p is smooth in u) and k = 1 otherwise.
+    In u = sqrt|x - tp| where the layout sqrt-substitutes tp (p vanishes like
+    sqrt there and f = 2u*p is smooth in u), else in u = |x - tp| with f = p.
+    On piece i the Hermite cubic in t = (v - u[i]) / du[i] has values F and slopes f.
     """
-    k, to_u = (2, np.sqrt) if sqrt else (1, np.asarray)
+    to_u = np.sqrt if sqrt else np.asarray
     inward = 1.0 if x0 > tp else -1.0
     u = np.linspace(0.0, to_u(abs(x0 - tp)), PHASE_SAMPLES)
-    h = _spline_antiderivative(u, k * u ** (k - 1) * momentum(tp + inward * u ** k))
-    return lambda x: h(to_u(np.maximum(inward * (x - tp), 0.0)))
+    integrand = sqrt_substituted(momentum, tp, x0) if sqrt else lambda v: momentum(tp + inward * v)
+    F, f = cumulative_gauss(integrand, u)
+    if not (math.isfinite(F[-1]) and np.all(np.isfinite(f))):
+        raise ValueError(f"momentum integral from {tp!r} to {x0!r} is not finite")
+    du, rise = np.diff(u), np.diff(F)
+    c2 = 3.0 * rise - du * (2.0 * f[:-1] + f[1:])
+    c3 = du * (f[:-1] + f[1:]) - 2.0 * rise
+
+    def phase(x):
+        v = to_u(np.maximum(inward * (x - tp), 0.0))
+        i = np.searchsorted(u[1:-1], v, side="right")
+        t = (v - u[i]) / du[i]
+        return F[i] + t * (du[i] * f[i] + t * (c2[i] + t * c3[i]))
+
+    return phase
 
 
-def _phase_spline(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:
-    """Phi(x) = integral from x to b of T^-1(E - V(y)) dy, cubically interpolated.
+def _phase(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:
+    """Phi(x) = integral from x to b of T^-1(E - V(y)) dy.
 
     The well is cut at the `well_layout` split; each half is accumulated
     from its own turning point and the two are stitched at the split.
     """
     momentum, (split, sqrt_ends) = momentum_field(problem, E), well_layout(problem)
-    a, b = tps.a, tps.b
-    x0 = min(max(split, a + 1e-12 * tps.d), b - 1e-12 * tps.d)
-    right = _half_well_phase(momentum, b, x0, sqrt_ends)
-    left = _half_well_phase(momentum, a, x0, sqrt_ends)
+    x0 = min(max(split, tps.a + 1e-12 * tps.d), tps.b - 1e-12 * tps.d)
+    right = _half_well_phase(momentum, tps.b, x0, sqrt_ends)
+    left = _half_well_phase(momentum, tps.a, x0, sqrt_ends)
     total = float(right(x0)) + float(left(x0))
 
     def phi(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(x)
-        on_right = x >= x0
-        out[on_right] = right(x[on_right])
-        out[~on_right] = total - left(x[~on_right])
-        return out
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= x0, right(x), total - left(x))
 
     return phi
 
@@ -268,7 +235,7 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
     """Normalized WKBJ wavefunction sampled on `grid` (0 outside the well)."""
     tps = state.turning_points
     E = state.energy
-    phi = _phase_spline(problem, E, tps)
+    phi = _phase(problem, E, tps)
     speed = speed_field(problem, E)
     hbar = problem.hbar
 

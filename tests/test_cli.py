@@ -387,6 +387,20 @@ def test_density_metric_on_a_grid_too_coarse_exits_2(tmp_path):
     assert "dx = 12.1212" in result.stderr
 
 
+@pytest.mark.parametrize("box", ["[1, 30]", "[-2, 2]"], ids=["one-sided", "narrow"])
+def test_compare_box_cutting_the_classical_region_exits_2(tmp_path, capsys, box):
+    # n = 0 of benchmark A reaches [-2.193, 2.193]; the fgh route still solves on such a box
+    path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
+                        + f"states: [0]\nfgh: {{n_points: 65, n_states: 2, box: {box}}}\n")
+    assert main(["solve", "--config", str(path), "--pipeline", "compare",
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: fgh.box" in err
+    assert "[-2.19304, 2.19304] of state n=0" in err
+    assert main(["solve", "--config", str(path), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "y")]) == 0
+
+
 def test_exit_code_2_on_no_fgh_states(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_GRID_YAML.replace("STATES", "[0]")
                         .replace("POINTS", "65").replace("n_states: 6", "n_states: 0"))
@@ -574,7 +588,7 @@ def test_value_error_inside_solver_propagates(tmp_path, monkeypatch):
 
 
 def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
-    # the root finders and the phase spline are in-house: a CLI run pays only for scipy.linalg
+    # the root finders and the phase are in-house: a CLI run pays only for scipy.linalg
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', 'compare', "
             f"'--out', {str(tmp_path / 'out')!r}]); "
@@ -586,8 +600,21 @@ def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("pipeline", ["wkbj", "classical"])
+def test_cli_solve_without_fgh_imports_no_scipy(tmp_path, pipeline):
+    # only the FGH eigensolve imports scipy, so a route that builds no FGH grid loads none
+    code = ("import sys; from semibound.cli import main; "
+            f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_cli_validate_imports_no_scipy():
-    # scipy.linalg is imported by the FGH eigensolve and the phase spline when they run
+    # scipy.linalg is imported by the FGH eigensolve alone, when it runs
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['validate', '--config', {str(BENCH_A)!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

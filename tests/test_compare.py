@@ -6,6 +6,7 @@ import pytest
 import semibound.compare
 import semibound.wkbj
 from semibound import (
+    ConfigError,
     FghConfig,
     GridMismatch,
     GridTooCoarse,
@@ -174,6 +175,18 @@ def test_build_report_box_equals_auto_box(benchmark_a):
     spectrum = solve(benchmark_a, FghConfig(n_points=257, n_states=4))
     assert [r.energy_fgh for r in report.per_state] == [
         spectrum.states[n].energy for n in (0, 3)]
+
+
+@pytest.mark.parametrize("box", [(1.0, 30.0), (-2.0, 2.0)], ids=["one-sided", "narrow"])
+def test_build_report_refuses_a_box_that_cuts_the_classical_region(benchmark_a, box):
+    # n = 0 of benchmark A reaches [-2.193, 2.193]; such a box measured L1 over part of it
+    with pytest.raises(ConfigError, match=r"fgh.box .* \[-2.19304, 2.19304\] of state n=0"):
+        build_report(benchmark_a, [0], FghConfig(n_points=65, box=box, n_states=2))
+
+
+def test_build_report_needs_a_state(benchmark_a):
+    with pytest.raises(ValueError, match="at least one state is needed"):
+        build_report(benchmark_a, [], FghConfig(n_points=65, n_states=2))
 
 
 def test_export_files_and_determinism(tmp_path, benchmark_a):

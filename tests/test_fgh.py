@@ -140,6 +140,11 @@ def test_too_few_points_rejected(benchmark_a):
         solve(benchmark_a, FghConfig(n_points=21, box=(-20, 20), n_states=11))
 
 
+def test_covering_needs_a_state():
+    with pytest.raises(ValueError, match="at least one state is needed"):
+        FghConfig().covering([])
+
+
 @pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0)])
 def test_box_without_width_is_a_config_error(oscillator, box):
     with pytest.raises(ConfigError, match="fgh.box"):
