@@ -111,8 +111,7 @@ def debroglie_average(problem: BoundStateProblem, energy: float,
     widths = np.full(len(density.grid), w_max)
     inside = (density.grid > tps.a) & (density.grid < tps.b)
     p = momentum_field(problem, energy)(density.grid[inside])
-    with np.errstate(divide="ignore"):
-        widths[inside] = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300), w_max)
+    widths[inside] = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300), w_max)
     half = (widths / (2.0 * dx)).astype(int)
     smoothed = _masked_boxcar(density.values, half)
     return replace(density, values=smoothed / replace(density, values=smoothed).integral())

@@ -300,24 +300,22 @@ def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
     """
     K, V = _kernel_and_potential(problem, grid)
     M = len(grid) // 2
-    if np.array_equal(V[M + 1:], V[M - 1::-1]):
-        blocks, first = {1: V[M:], -1: V[M + 1:]}, (n_states + 1) // 2 + 1
-    else:
-        blocks, first = {0: V}, n_states
-    counts = {p: min(first, len(d)) for p, d in blocks.items()}
-    found = {}
-    while True:
-        for p, diagonal in blocks.items():
-            if p not in found or len(found[p][0]) < counts[p]:
-                found[p] = _lowest(K, diagonal, p, counts[p])
-        energies = np.concatenate([found[p][0] for p in blocks])
-        order = np.argsort(energies, kind="stable")[:n_states]
-        owner = np.repeat(list(blocks), [counts[p] for p in blocks])[order]
-        short = {p: min(n_states, len(d)) for p, d in blocks.items()
-                 if counts[p] < min(n_states, len(d)) and np.count_nonzero(owner == p) == counts[p]}
-        if not short:
-            break
-        counts.update(short)
+    if not np.array_equal(V[M + 1:], V[M - 1::-1]):
+        return _lowest(K, V, 0, n_states)
+    blocks = {1: V[M:], -1: V[M + 1:]}
+    found = {p: _lowest(K, d, p, min((n_states + 1) // 2 + 1, len(d))) for p, d in blocks.items()}
+    energies = np.concatenate([found[p][0] for p in blocks])
+    owner = np.repeat(list(blocks), [len(found[p][0]) for p in blocks])
+    owner = owner[np.argsort(energies, kind="stable")[:n_states]]
+    # a block solved in full needs no second solve; otherwise the first solves hold
+    # n_states + 2 states or more, so at most one block can have every state among
+    # the lowest n_states; the other has left one of its states out, and its
+    # unsolved states lie above that one
+    for p, d in blocks.items():
+        if len(found[p][0]) == np.count_nonzero(owner == p) < min(n_states, len(d)):
+            found[p] = _lowest(K, d, p, min(n_states, len(d)))
+    energies = np.concatenate([found[p][0] for p in blocks])
+    order = np.argsort(energies, kind="stable")[:n_states]
     vectors = np.hstack([_unfold(found[p][1], p) for p in blocks])
     return energies[order], vectors[:, order]
 

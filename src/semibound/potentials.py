@@ -3,21 +3,21 @@
 Turning points a < b at energy E are the two solutions of V(x) = E_B where
 E_B = E - T(0) is the binding energy. Only single wells (exactly two turning
 points) are supported. Each well carries its own solver for V(x) = E_B: the
-built-in wells invert in closed form, scaling E_B by the reciprocal of their
-coefficient (computed once), and an opaque V(x) is solved by Brent's method
-and then checked to be a single well.
+built-in wells are c|x|^q and invert in closed form as -+(E_B/c)^(1/q), with
+1/c computed once, and an opaque V(x) has both roots refined by one
+Brent-Dekker call and is then checked to be a single well.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .errors import MultiWellUnsupported, NoClassicalRegion, NotConfining, SemiboundError
-from .roots import brentq, golden_minimum
+from .roots import brentq_array, golden_minimum
 
 if TYPE_CHECKING:
     from .kinetics import BoundStateProblem
@@ -78,24 +78,11 @@ class TurningPoints:
         return self.b - self.a
 
 
-def _mirrored(r: float) -> tuple:
-    """(-r, r): the roots of a well even about its minimum at 0."""
-    return -r, r
-
-
 def linear(lam: float) -> PotentialLaw:
     """V(x) = lam * |x|."""
     if not 0 < lam < np.inf:
         raise ValueError(f"slope must be positive and finite, got {lam}")
-    inv_lam = 1.0 / lam
-    return PotentialLaw(
-        name="linear",
-        eval=lambda x: lam * np.abs(np.asarray(x, dtype=float)),
-        inverse=lambda e_b: _mirrored(e_b * inv_lam),
-        minimum_location=0.0,
-        minimum_value=0.0,
-        local_form=LocalForm(lam, lam, 1.0),
-    )
+    return replace(power(lam, 1.0), name="linear")
 
 
 def harmonic(mass: float, omega: float) -> PotentialLaw:
@@ -105,26 +92,23 @@ def harmonic(mass: float, omega: float) -> PotentialLaw:
     if not (0 < mass < np.inf and 0 < omega < np.inf and 0 < k < np.inf):
         raise ValueError(f"mass and omega must be positive and finite with "
                          f"0 < 0.5*mass*omega^2 < inf, got {mass}, {omega}")
-    inv_k = 1.0 / k
-    return PotentialLaw(
-        name="harmonic",
-        eval=lambda x: k * np.asarray(x, dtype=float) ** 2,
-        inverse=lambda e_b: _mirrored(math.sqrt(e_b * inv_k)),
-        minimum_location=0.0,
-        minimum_value=0.0,
-        local_form=LocalForm(k, k, 2.0),
-    )
+    return replace(power(k, 2.0), name="harmonic")
 
 
 def power(c: float, q: float) -> PotentialLaw:
-    """V(x) = c * |x|^q with q >= 1."""
+    """V(x) = c * |x|^q with q >= 1, whose roots of V = E_B are -+(E_B/c)^(1/q)."""
     if not (0 < c < np.inf and 1 <= q < np.inf):
         raise ValueError(f"need finite c > 0 and q >= 1, got c={c}, q={q}")
     inv_c, inv_q = 1.0 / c, 1.0 / q
+
+    def inverse(e_b: float) -> tuple:
+        r = (e_b * inv_c) ** inv_q
+        return -r, r
+
     return PotentialLaw(
         name="power",
         eval=lambda x: c * np.abs(np.asarray(x, dtype=float)) ** q,
-        inverse=lambda e_b: _mirrored((e_b * inv_c) ** inv_q),
+        inverse=inverse,
         minimum_location=0.0,
         minimum_value=0.0,
         local_form=LocalForm(c, c, q),
@@ -139,9 +123,10 @@ def from_callable(
 ) -> PotentialLaw:
     """Wrap an opaque V(x); when not given, the minimum is found by golden-section search.
 
-    A search that ends at +-SEARCH_WIDTH is a ValueError. Turning points are
-    found by `brentq` (see `_brent_inverse`). Without a `local_form` the FGH
-    grid puts the minimum at the Gauss offset and applies no kink correction.
+    A search that ends at +-SEARCH_WIDTH is a ValueError. Both turning points
+    are found by one `roots.brentq_array` call (see `_brent_inverse`), so
+    eval must take arrays. Without a `local_form` the FGH grid puts the
+    minimum at the Gauss offset and applies no kink correction.
     """
     fn = lambda x: np.asarray(eval(np.asarray(x, dtype=float)), dtype=float)
     if minimum_location is None:
@@ -182,7 +167,8 @@ def _bracket_outward(V: Callable, x0: float, e_b: float, direction: float) -> tu
 def _brent_inverse(V: Callable, x0: float) -> Callable:
     """E_B -> (a, b) for an opaque single well V with its minimum at x0.
 
-    Each root is bracketed outward from x0 and refined by `brentq`. Raises
+    Each root is bracketed outward from x0, and both are refined by one
+    `brentq_array` call and returned as Python floats. Raises
     NotConfining when V stays below E_B on one side, MultiWellUnsupported
     when the well rises above E_B between the roots or falls below it on a
     scan grid several well-widths beyond them, and SemiboundError when a
@@ -190,9 +176,8 @@ def _brent_inverse(V: Callable, x0: float) -> Callable:
     """
 
     def inverse(e_b: float) -> tuple:
-        f = lambda x: float(V(x)) - e_b
-        b = brentq(f, *_bracket_outward(V, x0, e_b, +1.0))
-        a = brentq(f, *_bracket_outward(V, x0, e_b, -1.0))
+        brackets = [_bracket_outward(V, x0, e_b, d) for d in (+1.0, -1.0)]
+        b, a = brentq_array(lambda x, i: V(x) - e_b, *np.array(brackets).T).tolist()
 
         tol_mw = 1e-9 * max(1.0, abs(e_b))
         interior = np.linspace(a, b, 513)[1:-1]

@@ -1,13 +1,13 @@
 """Bracketed root finding and bounded minimization in one variable.
 
-`brentq` is the Brent-Dekker iteration (Brent 1973, ch. 4) taken step for
-step as scipy.optimize.brentq takes it, so at the same xtol/rtol/maxiter it
-visits the same iterates and returns the same root to the last bit.
-`brentq_array` takes the same steps on many independent brackets at once,
-under masks, and retires each element once it has converged.
+`brentq_array` is the Brent-Dekker iteration (Brent 1973, ch. 4) on many
+independent brackets at once, under masks, retiring each element once it
+has converged. Each element takes the steps scipy.optimize.brentq takes on
+its own bracket, so at the same xtol/rtol/maxiter it visits the same
+iterates and returns the same root to the last bit.
 `golden_minimum` is a golden-section search for a minimum on an interval.
 
-The package needs only these three routines, so it carries them itself
+The package needs only these two routines, so it carries them itself
 rather than importing scipy.optimize, whose import (with scipy.interpolate,
 which pulls it in) was about a third of a second of every CLI run's set-up.
 """
@@ -19,75 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-#: brentq and brentq_array stop once the bracket half-width is below (XTOL + RTOL*|x|)/2
+#: brentq_array stops once the bracket half-width is below (XTOL + RTOL*|x|)/2
 XTOL = 1e-15
 RTOL = 8.9e-16
-#: iteration cap of brentq and brentq_array
+#: iteration cap of brentq_array
 MAXITER = 100
 #: golden_minimum stops once its bracket is narrower than this
 XATOL = 1e-12
 _INV_PHI = 0.5 * (math.sqrt(5.0) - 1.0)
-
-
-def _nan_error(x) -> ValueError:
-    return ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-
-
-def brentq(f: Callable[[float], float], a: float, b: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign.
-
-    Stops when the bracket half-width falls below (XTOL + RTOL*|x|)/2 or f
-    vanishes. Raises ValueError for a bracket without a sign change or a NaN
-    value of f, and RuntimeError when MAXITER iterations do not converge.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise _nan_error(x)
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (XTOL + RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {MAXITER} iterations, value is {xcur}")
 
 
 def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -95,16 +34,19 @@ def brentq_array(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Roots of independent problems on the brackets [a[i], b[i]] of 1-D arrays a and b.
 
     f(x, idx) returns the values of problems idx (an index array into a and
-    b) at the points x. Each element takes exactly the steps `brentq` takes
-    on its own bracket, so each root equals the scalar one bit for bit.
-    Raises as `brentq` does when any element would.
+    b) at the points x. Each element stops when its bracket half-width falls
+    below (XTOL + RTOL*|x|)/2 or f vanishes there, and its root equals
+    scipy.optimize.brentq's on the same bracket bit for bit. Raises
+    ValueError for a bracket without a sign change or a NaN value of f, and
+    RuntimeError when MAXITER iterations leave any element unconverged.
     """
     root = np.array(b, dtype=float)
 
     def value(x, idx):
         fx = np.asarray(f(x, idx), dtype=float)
         if np.any(np.isnan(fx)):
-            raise _nan_error(x[np.isnan(fx)][0])
+            raise ValueError(f"The function value at x={x[np.isnan(fx)][0]} is NaN; "
+                             "solver cannot continue.")
         return fx
 
     idx = np.arange(root.size)

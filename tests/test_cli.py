@@ -66,12 +66,20 @@ states: {range: [2, 5]}
      "states"),
     ("problem:\n  kinetic: {kind: massless}\n  potential: {kind: linear, lambda: 0.2}\nstates: [-1]",
      "states"),
+    ("- problem\n- states", "config root must be a mapping"),
 ])
 def test_parse_errors(tmp_path, snippet, fragment):
     path = write_config(tmp_path, snippet)
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     assert fragment in str(err.value)
+
+
+def test_run_solve_refuses_an_unknown_pipeline(tmp_path):
+    cfg = parse_config(BENCH_A)
+    with pytest.raises(ConfigError, match="pipeline must be one of"):
+        run_solve(cfg, "bogus", out_dir=tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_passes_benchmark():
@@ -463,9 +471,12 @@ MALFORMED_BASE = {
 MALFORMED = {
     "states-range-one-bound": ("states", {"range": [0]}, 2, 2, "unpack"),
     "states-text": ("states", ["zero"], 2, 2, "'zero'"),
+    "states-string": ("states", "abc", 2, 2,
+                      "states must be a list of integers or {range: [lo, hi]}"),
     "n_points-text": ("fgh.n_points", "many", 2, 2, "'many'"),
     "box-text": ("fgh.box", ["a", "b"], 2, 2, "fgh.box must be a number, got 'a'"),
     "box-null-end": ("fgh.box", [None, 3], 2, 2, "fgh.box must be a number, got None"),
+    "box-three-ends": ("fgh.box", [1, 2, 3], 2, 2, "fgh.box must be 'auto' or [x_min, x_max]"),
     "fgh-not-mapping": ("fgh", 5, 2, 2, "int"),
     "hbar-text": ("problem.hbar", "abc", 2, 2, "problem.hbar must be a number, got 'abc'"),
     "hbar-mapping": ("problem.hbar", {"h": 1}, 2, 2,

@@ -146,7 +146,7 @@ BINDING_ENERGIES = np.logspace(-6.0, 6.0, 25)
 
 @pytest.mark.parametrize("name", sorted(BUILT_IN_WELLS))
 def test_closed_form_turning_points_match_brent(name):
-    # the same V behind the opaque-well path: bracket, brentq, single-well scans
+    # the same V behind the opaque-well path: bracket, brentq_array, single-well scans
     well = BUILT_IN_WELLS[name]
     opaque = potential_from_callable(name, well.eval, minimum_location=0.0)
     for e_b in BINDING_ENERGIES:
@@ -168,20 +168,33 @@ def test_overflowing_closed_form_root_is_not_confining(well):
 def test_built_in_wells_never_call_brent(monkeypatch):
     calls = []
 
-    def counting(f, a, b, real=roots.brentq):
-        calls.append((a, b))
+    def counting(f, a, b, real=roots.brentq_array):
+        calls.append((a.tolist(), b.tolist()))
         return real(f, a, b)
 
-    monkeypatch.setattr(roots, "brentq", counting)
-    monkeypatch.setattr(semibound.potentials, "brentq", counting)
+    monkeypatch.setattr(roots, "brentq_array", counting)
+    monkeypatch.setattr(semibound.potentials, "brentq_array", counting)
     for well in BUILT_IN_WELLS.values():
         for e_b in (1e-3, 1.0, 1e3):
             turning_points(BoundStateProblem(massless(), well), e_b)
     assert calls == []
-    # the patch sits where the opaque-well path looks for brentq
+    # the patch sits where the opaque-well path looks for brentq_array: one call, both brackets
     turning_points(BoundStateProblem(
         massless(), potential_from_callable("v", linear(0.2).eval, minimum_location=0.0)), 1.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    (lo, hi), = calls
+    (a_lo, b_lo), (a_hi, b_hi) = sorted(lo), sorted(hi)
+    assert a_lo < -5.0 < a_hi < 0.0 < b_lo < 5.0 < b_hi
+
+
+def test_barrier_between_the_outward_samples_is_multi_well():
+    # the outward scan samples x = 0.256 and 0.512, stepping over the barrier on
+    # 0.3 < x < 0.45; the scan between the roots finds it
+    barrier = lambda x: 0.2 * np.abs(x) + 5.0 * ((x > 0.3) & (x < 0.45))
+    well = potential_from_callable("barrier", barrier, minimum_location=0.0)
+    with pytest.raises(MultiWellUnsupported,
+                       match="potential exceeds E_B .* between turning points"):
+        turning_points(BoundStateProblem(massless(), well), 1.0)
 
 
 def test_builtin_wells_declare_their_local_form():

@@ -1,4 +1,4 @@
-"""The in-house Brent solvers against scipy.optimize, which serves as the reference here only."""
+"""The in-house Brent solver and golden search against scipy.optimize, the reference here only."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,15 @@ from scipy.optimize import minimize_scalar
 
 from semibound import roots
 from semibound.kinetics import from_callable
-from semibound.roots import brentq, brentq_array, golden_minimum
+from semibound.roots import brentq_array, golden_minimum
 
 # the tolerances the package solves at, as scipy.optimize.brentq keywords
 TOLS = {"xtol": roots.XTOL, "rtol": roots.RTOL}
 
 
-def power_minus(c, q, e):
-    """x -> c|x|^q - e, whose roots are +-(e/c)^(1/q)."""
-    return lambda x: c * abs(x) ** q - e
+def one_at_a_time(f, k):
+    """f(x, idx) of problem k as a function of one float, for scipy's scalar brentq."""
+    return lambda x: f(np.array([x]), np.array([k]))[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -25,10 +25,12 @@ def power_minus(c, q, e):
        stretch=st.floats(1.001, 1e3), start=st.floats(0.0, 0.999),
        side=st.sampled_from([1.0, -1.0]))
 def test_scalar_brentq_matches_scipy_bit_for_bit(c, q, e, stretch, start, side):
-    f = power_minus(c, q, e)
+    # one bracket: the root of c|x|^q - e, which is +-(e/c)^(1/q)
+    f = lambda x, i: c * np.abs(x) ** q - e
     root = (e / c) ** (1.0 / q)
     lo, hi = sorted((side * start * root, side * stretch * root))
-    assert brentq(f, lo, hi) == scipy_brentq(f, lo, hi, **TOLS)
+    got = brentq_array(f, np.array([lo]), np.array([hi]))
+    assert got.tolist() == [scipy_brentq(one_at_a_time(f, 0), lo, hi, **TOLS)]
 
 
 def test_array_brentq_matches_scalar_elementwise():
@@ -38,8 +40,8 @@ def test_array_brentq_matches_scalar_elementwise():
     f = lambda x, i: c[i] * np.abs(x) ** q[i] - e[i]
     got = brentq_array(f, np.zeros(400), hi)
     # the scalar reference evaluates the same array expression, one element at a time
-    one = lambda k: (lambda x: f(np.array([x]), np.array([k]))[0])
-    assert all(got[k] == brentq(one(k), 0.0, hi[k]) for k in range(400))
+    assert all(got[k] == scipy_brentq(one_at_a_time(f, k), 0.0, hi[k], **TOLS)
+               for k in range(400))
 
 
 def test_array_brentq_roots_at_the_bracket_ends():
@@ -82,18 +84,12 @@ def test_synthesized_inverse_raises_beyond_the_bracket_cap():
 def test_non_convergence_raises(monkeypatch):
     monkeypatch.setattr(roots, "MAXITER", 2)
     with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
-        brentq(power_minus(1.0, 3.0, 2.0), 0.0, 1e6)
-    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
         brentq_array(lambda x, i: x ** 3 - 2.0, np.zeros(3), np.full(3, 1e6))
 
 
 def test_bad_brackets_and_nan_raise():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
         brentq_array(lambda x, i: x * x + 1.0, -np.ones(2), np.ones(2))
-    with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="NaN"):
         brentq_array(lambda x, i: np.where(x > 0.5, np.nan, -1.0), np.zeros(2), np.ones(2))
 
