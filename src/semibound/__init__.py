@@ -78,7 +78,6 @@ from .wkbj import (
     WkbjState,
     action_integral,
     quantize,
-    wkbj_averaged_density,
     wkbj_wavefunction,
 )
 

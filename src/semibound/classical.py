@@ -29,7 +29,6 @@ class Provenance(str, enum.Enum):
 
     CLASSICAL = "rho_cl"
     WKBJ = "rho_wkbj"
-    WKBJ_AVERAGED = "rho_wkbj_averaged"
     FGH = "rho_fgh"
 
 

@@ -250,7 +250,6 @@ def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
         tps = state.turning_points
         grid = classical.default_grid(tps, config.grid_points)
         densities.append(wkbj.wkbj_wavefunction(problem, state, grid))
-        densities.append(wkbj.wkbj_averaged_density(problem, state, grid))
         rows.append({"n": n, "energy_wkbj": state.energy, "alpha": state.alpha,
                      "action_residual": state.action_residual, "a": tps.a, "b": tps.b})
     return rows, densities, _states_doc(config, rows)

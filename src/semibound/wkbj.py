@@ -16,13 +16,13 @@ panels between even samples and interpolated by cubic Hermite pieces between the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .classical import (Provenance, SampledDensity, classical_density, default_grid,
-                        momentum_field, speed_field, well_layout)
+from .classical import (Provenance, SampledDensity, default_grid, momentum_field, speed_field,
+                        well_layout)
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints, binding_energy, turning_points
@@ -273,14 +273,3 @@ def wkbj_wavefunction(problem: BoundStateProblem, state: WkbjState,
         n=state.n,
     )
 
-
-def wkbj_averaged_density(problem: BoundStateProblem, state: WkbjState,
-                          grid: Optional[np.ndarray] = None) -> SampledDensity:
-    """sin^2 replaced by its mean 1/2: rho = const / T'(T^-1(E - V(x))) on (a, b).
-
-    After the mandated renormalization the constant is 1 over the integral of
-    1/|v|, which makes the curve the classical distribution at the same
-    energy (acceptance criterion 6); it is computed as such and relabelled.
-    """
-    rho = classical_density(problem, state.energy, grid, state.turning_points)
-    return replace(rho, provenance=Provenance.WKBJ_AVERAGED, n=state.n)

@@ -15,7 +15,6 @@ from semibound import (
     auto_box,
     build_report,
     classical_density,
-    density_distance,
     massless,
     nonrelativistic,
     quantize,
@@ -24,10 +23,11 @@ from semibound import (
     solve,
     turning_points,
     validate_admissibility,
-    wkbj_averaged_density,
 )
+from semibound.classical import speed_field, well_layout
 from semibound.cli import main
-from semibound.wkbj import wavefunction_values
+from semibound.quadrature import well_integral
+from semibound.wkbj import LANGER_PHASE, _phase, wavefunction_values
 
 from conftest import builtin_problems, count_sign_changes
 from test_fgh import airy_spectrum
@@ -101,19 +101,39 @@ def test_criterion_5_massless_wkbj_closed_form(benchmark_b):
     _ok("5 (massless closed form)", f"max rel dev {worst:.1e} for n <= 20")
 
 
-def test_criterion_6_classical_equals_averaged_wkbj():
+def test_criterion_6_wkbj_normalization_approaches_classical():
+    """Averaging sin^2 to 1/2 turns rho_WKBJ into rho_cl only as n grows.
+
+    With num = 2 * integral sin^2(Phi/hbar + pi/4)/|v| and den = integral 1/|v|,
+    num/den is rho_cl over the sin^2-averaged WKBJ density under WKBJ's own
+    normalization D^2; |num/den - 1| must fall strictly along the ladder.
+    """
+    ladder = (0, 5, 15, 31, 63)
     worst = 0.0
     for problem in builtin_problems():
-        for n in (0, 5, 15):
+        devs = []
+        for n in ladder:
             state = quantize(problem, n)
-            grid = None  # default grid of the state
-            avg = wkbj_averaged_density(problem, state, grid)
-            cl = classical_density(problem, state.energy, grid=avg.grid,
-                                   tps=state.turning_points)
-            worst = max(worst, density_distance(cl, avg))
-    assert worst <= 1e-6
+            tps = state.turning_points
+            phi = _phase(problem, state.energy, tps)
+            speed = speed_field(problem, state.energy)
+            layout = well_layout(problem)
+
+            def inverse_speed(x):
+                with np.errstate(divide="ignore"):
+                    return 1.0 / speed(x)
+
+            num = well_integral(
+                lambda x: 2.0 * np.sin(phi(x) / problem.hbar + LANGER_PHASE) ** 2
+                * inverse_speed(x), tps.a, tps.b, *layout)
+            den = well_integral(inverse_speed, tps.a, tps.b, *layout)
+            devs.append(abs(num / den - 1.0))
+        label = f"{problem.kinetic.name} + {problem.potential.name}"
+        assert all(hi > lo for hi, lo in zip(devs, devs[1:])), f"{label}: {devs}"
+        assert devs[-1] < 0.1, f"{label}: |num/den - 1| = {devs[-1]} at n = 63"
+        worst = max(worst, devs[-1])
     _ok("6 (central identity)",
-        f"max L1(rho_cl, rho_wkbj_averaged) = {worst:.1e} over 9 systems x 3 states")
+        f"|num/den - 1| falls strictly over n = {ladder} on 9 systems, max {worst:.3f} at n = 63")
 
 
 def test_criterion_7_semiclassical_convergence(benchmark_a, benchmark_b):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -274,7 +275,7 @@ def test_byte_identical_reruns(tmp_path, config, pipeline):
 SCHEMA = {
     "classical": ("n,energy_wkbj,a,b,d,period", "x,rho_cl",
                   {"states": ["a", "b", "d", "energy", "n", "period"]}),
-    "wkbj": ("n,energy_wkbj,alpha,action_residual,a,b", "x,rho_wkbj,rho_wkbj_averaged",
+    "wkbj": ("n,energy_wkbj,alpha,action_residual,a,b", "x,rho_wkbj",
              {"states": ["a", "action_residual", "alpha", "b", "energy", "n"]}),
     "fgh": ("n,energy_fgh", "x,rho_fgh", {"states": ["energy", "n"]}),
     "compare": ("n,energy_fgh,energy_wkbj,relative_error,alpha,"
@@ -302,7 +303,11 @@ def test_output_schema(tmp_path, pipeline):
         assert doc[key] and all(sorted(entry) == fields for entry in doc[key])
 
 
-@pytest.mark.parametrize("pipeline", ["classical", "compare"])
+#: periods each pipeline computes per level: the wkbj pipeline needs none
+PERIODS_PER_LEVEL = {"classical": 1, "compare": 1, "wkbj": 0}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PERIODS_PER_LEVEL))
 def test_period_computed_once_per_level(tmp_path, monkeypatch, pipeline):
     energies = []
     original = semibound.classical.period
@@ -314,7 +319,31 @@ def test_period_computed_once_per_level(tmp_path, monkeypatch, pipeline):
     monkeypatch.setattr(semibound.classical, "period", counting)
     cfg = parse_config(BENCH_A)
     run_solve(cfg, pipeline, out_dir=tmp_path / "out")
-    assert len(energies) == len(set(energies)) == len(cfg.states)
+    assert len(energies) == len(set(energies)) == PERIODS_PER_LEVEL[pipeline] * len(cfg.states)
+
+
+def test_wkbj_and_classical_tables_join_on_x_and_summary(tmp_path):
+    """rho_WKBJ and rho_cl at the WKBJ energy come from two pipelines on one config;
+    their x columns and shared summary cells match byte for byte, so they join."""
+    path = write_config(tmp_path, OSCILLATOR_YAML.replace("states: [0]", "states: [0, 3, 7]"))
+    tables = {}
+    for pipeline in ("wkbj", "classical"):
+        out = tmp_path / pipeline
+        assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                     "--out", str(out)]) == 0
+        with (out / "summary.csv").open(newline="", encoding="utf-8") as f:
+            summary = [{k: row[k] for k in ("n", "energy_wkbj", "a", "b")}
+                       for row in csv.DictReader(f)]
+        columns = {}
+        for density in sorted(out.glob("density_n*.csv")):
+            with density.open(newline="", encoding="utf-8") as f:
+                columns[density.name] = [row[0] for row in csv.reader(f)][1:]
+        tables[pipeline] = summary, columns
+    (wkbj_summary, wkbj_x), (cl_summary, cl_x) = tables["wkbj"], tables["classical"]
+    assert [row["n"] for row in wkbj_summary] == ["0", "3", "7"]
+    assert wkbj_summary == cl_summary
+    assert sorted(wkbj_x) == ["density_n000.csv", "density_n003.csv", "density_n007.csv"]
+    assert wkbj_x == cl_x
 
 
 SMALL_GRID_YAML = """

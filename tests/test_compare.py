@@ -22,7 +22,6 @@ from semibound import (
     fgh_density,
     quantize,
     solve,
-    wkbj_averaged_density,
     wkbj_wavefunction,
 )
 from semibound.compare import _fmt, _masked_boxcar, write_density_tables, write_outputs
@@ -115,7 +114,8 @@ def test_fixed_auto_window_partially_removes_oscillation(benchmark_a):
     state = quantize(benchmark_a, 15)
     spec = solve(benchmark_a, FghConfig(n_points=513, n_states=16))
     rho_w = wkbj_wavefunction(benchmark_a, state, grid=spec.grid)
-    rho_avg = wkbj_averaged_density(benchmark_a, state, grid=spec.grid)
+    rho_avg = classical_density(benchmark_a, state.energy, grid=spec.grid,
+                                tps=state.turning_points)
     raw = density_distance(rho_w, rho_avg)
     fixed = density_distance(local_average(rho_w), rho_avg)
     adaptive = density_distance(

@@ -50,7 +50,24 @@ def test_null_on_one_side_and_missing_files(tmp_path):
 def test_header_change_is_reported(tmp_path):
     old = _tree(tmp_path / "old", {"d.csv": "x,rho_cl\n0,1\n"})
     new = _tree(tmp_path / "new", {"d.csv": "x,rho_fgh\n0,1\n"})
-    assert golden_diff.column_deltas(old / "d.csv", new / "d.csv") == {"header": math.inf}
+    assert golden_diff.column_deltas(old / "d.csv", new / "d.csv") == {
+        "x": 0.0, "rho_cl": "rev", "rho_fgh": "tree"}
+    assert golden_diff.compare_trees(old, new) == (1, 0, [
+        "differs: d.csv", "  only at rev: rho_cl", "  only at tree: rho_fgh"])
+
+
+def test_removed_column_leaves_shared_columns_compared_by_name(tmp_path):
+    old = _tree(tmp_path / "old", {"d.csv": "x,rho,rho_avg\n0,2,3\n1,null,4\n"})
+    new = _tree(tmp_path / "new", {"d.csv": "x,rho\n0,2\n1,null\n",
+                                   "e.csv": "rho,x\n2,0\n5,1\n"})
+    _tree(tmp_path / "old", {"e.csv": "x,rho\n0,2\n1,4\n"})
+    assert golden_diff.column_deltas(old / "d.csv", new / "d.csv") == {
+        "x": 0.0, "rho": 0.0, "rho_avg": "rev"}
+    assert golden_diff.column_deltas(old / "e.csv", new / "e.csv") == {"x": 0.0, "rho": 0.25}
+    total, identical, lines = golden_diff.compare_trees(old, new)
+    assert (total, identical) == (2, 0)
+    assert lines == ["differs: d.csv", "  only at rev: rho_avg",
+                     "differs: e.csv", "  rho: worst |delta|/max|column| = 2.500e-01"]
 
 
 def test_src_lines_counts_package_modules_like_wc(tmp_path):

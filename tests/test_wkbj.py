@@ -9,7 +9,6 @@ from semibound import (
     EnergyCeilingExceeded,
     MultiWellUnsupported,
     action_integral,
-    classical_density,
     harmonic,
     linear,
     massless,
@@ -18,7 +17,6 @@ from semibound import (
     quantize,
     relativistic,
     turning_points,
-    wkbj_averaged_density,
     wkbj_wavefunction,
 )
 from semibound.classical import momentum_field
@@ -268,15 +266,6 @@ def test_massless_density_oscillates_about_flat(benchmark_b):
     assert rho.values.max() == pytest.approx(peak, rel=0.005)
     assert rho.values.min() < 0.02 * flat
     assert np.mean(rho.values) == pytest.approx(flat, rel=0.05)
-
-
-def test_averaged_density_equals_classical(benchmark_a):
-    state = quantize(benchmark_a, 5)
-    tps = state.turning_points
-    grid = np.linspace(tps.a + 0.01 * tps.d, tps.b - 0.01 * tps.d, 1501)
-    avg = wkbj_averaged_density(benchmark_a, state, grid=grid)
-    cl = classical_density(benchmark_a, state.energy, grid=grid, tps=tps)
-    assert np.max(np.abs(avg.values - cl.values)) <= 1e-8
 
 
 def test_wavefunction_zero_outside_region(benchmark_a):

@@ -8,10 +8,12 @@ the working tree, so only the program differs) in a subprocess with
 PYTHONPATH=<tree>/src and PYTHONDONTWRITEBYTECODE=1, writing into the same
 temporary directory. The two output trees are then compared file by file.
 For each CSV whose bytes differ, the worst |new - old| / max|old| of every
-column is printed. Exit status 0 only when both trees hold the same files with
-the same bytes; nothing is written outside the temporary directory. The line
-totals of src/semibound/*.py at REV and in the working tree are printed too,
-so a refactor can show in one run that src/ shrank and no output moved.
+column both headers share is printed, and each column one header lacks is
+named with the side that has it. Exit status 0 only when both trees hold the
+same files with the same bytes; nothing is written outside the temporary
+directory. The line totals of src/semibound/*.py at REV and in the working
+tree are printed too, so a refactor can show in one run that src/ shrank and
+no output moved.
 """
 
 from __future__ import annotations
@@ -55,22 +57,25 @@ def _cell(text: str) -> float:
 
 
 def column_deltas(old: Path, new: Path) -> dict:
-    """Worst |new - old| / max|old| per column of two CSV tables with the same header.
+    """Worst |new - old| / max|old| per column the two CSV headers share, matched by name.
 
     A column whose finite old values are all 0 is compared absolutely; a cell
     that is null on one side only, or a row count that differs, counts as inf.
-    Tables with different headers give {"header": inf}.
+    A column in one header only maps to the side that has it, "rev" (old) or
+    "tree" (new), in place of a delta.
     """
     with old.open(newline="", encoding="utf-8") as f:
         old_rows = list(csv.reader(f))
     with new.open(newline="", encoding="utf-8") as f:
         new_rows = list(csv.reader(f))
-    header = old_rows[0]
-    if new_rows[0] != header:
-        return {"header": math.inf}
+    new_index = {name: j for j, name in enumerate(new_rows[0])}
     deltas = {}
-    for j, name in enumerate(header):
-        a = [_cell(row[j]) for row in old_rows[1:]]
+    for i, name in enumerate(old_rows[0]):
+        if name not in new_index:
+            deltas[name] = "rev"
+            continue
+        j = new_index[name]
+        a = [_cell(row[i]) for row in old_rows[1:]]
         b = [_cell(row[j]) for row in new_rows[1:]]
         if len(a) != len(b):
             deltas[name] = math.inf
@@ -83,6 +88,8 @@ def column_deltas(old: Path, new: Path) -> dict:
             d = abs(y - x) if math.isfinite(x) and math.isfinite(y) else math.inf
             worst = max(worst, d / scale)
         deltas[name] = worst
+    for name in new_rows[0]:
+        deltas.setdefault(name, "tree")
     return deltas
 
 
@@ -102,7 +109,9 @@ def compare_trees(old: Path, new: Path) -> tuple:
         lines.append(f"differs: {path}")
         if path.suffix == ".csv":
             for name, delta in column_deltas(old / path, new / path).items():
-                if delta:
+                if isinstance(delta, str):
+                    lines.append(f"  only at {delta}: {name}")
+                elif delta:
                     lines.append(f"  {name}: worst |delta|/max|column| = {delta:.3e}")
     return len(old_files | new_files), identical, lines
 
