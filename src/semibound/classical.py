@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .quadrature import well_integral
 DEFAULT_GRID_POINTS = 2001
 #: margin (fraction of d) added on each side of the classical region
 GRID_MARGIN = 0.05
+#: fraction of d within which a grid sample counts as sitting on a turning point
+TP_EXCLUSION = 1e-9
 
 
 class Provenance(str, enum.Enum):
@@ -36,9 +38,9 @@ class Provenance(str, enum.Enum):
 class SampledDensity:
     """Probability density per unit length tabulated on a position grid.
 
-    Samples exactly at a divergent turning point carry the sentinel value
-    +inf; writers serialize the sentinel as null. `n` is the quantum number
-    when the density belongs to a specific bound state.
+    Samples within TP_EXCLUSION * d of a divergent turning point carry the
+    sentinel value +inf; writers serialize the sentinel as null. `n` is the
+    quantum number when the density belongs to a specific bound state.
     """
 
     grid: np.ndarray
@@ -95,6 +97,24 @@ def well_layout(problem: BoundStateProblem) -> Tuple[float, bool]:
     return problem.potential.minimum_location, problem.kinetic.smoothness is Smoothness.SMOOTH
 
 
+def sample_on_well(problem: BoundStateProblem, tps: TurningPoints, grid: np.ndarray,
+                   field: Callable) -> np.ndarray:
+    """field on the grid in [a, b] (divide-by-zero ignored), 0 outside.
+
+    Within TP_EXCLUSION * d of a turning point that `well_layout` substitutes,
+    where the field diverges, a sample is the +inf sentinel.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.zeros_like(grid)
+    inside = (grid >= tps.a) & (grid <= tps.b)
+    with np.errstate(divide="ignore"):
+        values[inside] = field(grid[inside])
+    if well_layout(problem)[1]:
+        for tp in (tps.a, tps.b):
+            values[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
+    return values
+
+
 def period(problem: BoundStateProblem, E: float,
            tps: Optional[TurningPoints] = None) -> float:
     """Orbit period tau = 2 * integral dx / |v(x)| over the classical region."""
@@ -119,15 +139,9 @@ def classical_density(problem: BoundStateProblem, E: float,
     if tau is None:
         tau = period(problem, E, tps)
     speed = speed_field(problem, E)
-
-    values = np.zeros_like(grid)
-    inside = (grid >= tps.a) & (grid <= tps.b)
-    v = speed(grid[inside])
-    with np.errstate(divide="ignore"):
-        values[inside] = (2.0 / tau) / v
     return SampledDensity(
         grid=grid,
-        values=values,
+        values=sample_on_well(problem, tps, grid, lambda x: (2.0 / tau) / speed(x)),
         support=tps,
         provenance=Provenance.CLASSICAL,
     )

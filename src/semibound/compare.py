@@ -101,17 +101,15 @@ def debroglie_average(problem: BoundStateProblem, energy: float,
     The squared WKBJ wavefunction oscillates with spatial period
     pi*hbar / T^-1(E - V(x)); averaging over exactly that window removes the
     oscillation everywhere it is resolved. The width is capped at
-    MAX_WINDOW_FRACTION * d (also used outside the classical region, where
-    no period is defined). The result is renormalized to unit integral.
+    MAX_WINDOW_FRACTION * d, the width outside (a, b) too, where p = 0 and
+    no period is defined. The result is renormalized to unit integral.
     """
     tps = density.support or turning_points(problem, energy)
     dx = _uniform_spacing(density.grid)
 
-    w_max = MAX_WINDOW_FRACTION * tps.d
-    widths = np.full(len(density.grid), w_max)
-    inside = (density.grid > tps.a) & (density.grid < tps.b)
-    p = momentum_field(problem, energy)(density.grid[inside])
-    widths[inside] = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300), w_max)
+    p = momentum_field(problem, energy)(density.grid)
+    widths = np.minimum(np.pi * problem.hbar / np.maximum(p, 1e-300),
+                        MAX_WINDOW_FRACTION * tps.d)
     half = (widths / (2.0 * dx)).astype(int)
     smoothed = _masked_boxcar(density.values, half)
     return replace(density, values=smoothed / replace(density, values=smoothed).integral())

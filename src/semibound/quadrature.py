@@ -7,7 +7,8 @@ Gauss-Legendre with panel doubling converges rapidly. Every integral is two
 halves cut at the well's minimum (where any kink sits), each smooth with one
 turning point. An integral not converged within the node budget raises
 QuadratureNotConverged rather than returning its last estimate.
-`cumulative_gauss` instead sums fixed panels into a running integral.
+`cumulative_well_integral` is the running form on the same halves: fixed
+panels between even samples, and cubic Hermite pieces between those.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ MAX_NODES = 2**20
 PANEL_ORDER = 16
 #: panels of the first (coarsest) level of adaptive_gauss
 START_PANELS = 2
-#: Gauss-Legendre order per panel of cumulative_gauss
+#: Gauss-Legendre order per panel of cumulative_well_integral
 CUMULATIVE_ORDER = 4
+#: samples per half of cumulative_well_integral, one panel between neighbours
+CUMULATIVE_SAMPLES = 2049
 
 #: Gauss-Legendre nodes and weights of one panel, on [-1, 1]
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
@@ -71,19 +74,6 @@ def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
         prev = cur
 
 
-def cumulative_gauss(f: Callable, u: np.ndarray) -> tuple:
-    """(F, f(u)) with F[i] the integral of f from u[0] to u[i].
-
-    Each panel [u[i], u[i+1]] takes CUMULATIVE_ORDER Gauss-Legendre nodes;
-    f is evaluated once, on the samples and the panel nodes together.
-    """
-    half = 0.5 * np.diff(u)
-    nodes = 0.5 * (u[1:] + u[:-1])[:, None] + half[:, None] * _CUMULATIVE_NODES
-    y = np.asarray(f(np.concatenate((u, nodes.ravel()))), dtype=float)
-    panels = y[len(u):].reshape(nodes.shape) @ _CUMULATIVE_WEIGHTS * half
-    return np.concatenate(([0.0], np.cumsum(panels))), y[:len(u)]
-
-
 def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     """Transform f for x = endpoint + sign*u^2 with sign toward the interior.
 
@@ -99,14 +89,18 @@ def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     return h
 
 
+def _require_inside(a: float, b: float, split: float) -> None:
+    if not a < split < b:
+        raise ValueError(f"split {split!r} is not inside ({a!r}, {b!r})")
+
+
 def _halves(a: float, b: float, split: float, sqrt_ends: bool) -> tuple:
     """(lo, hi, substitute) of the halves (a, split) and (split, b); a < split < b.
 
     substitute maps an integrand over x to the integrand on [lo, hi]: the sqrt
     substitution at the half's turning point when sqrt_ends, else the identity.
     """
-    if not a < split < b:
-        raise ValueError(f"split {split!r} is not inside ({a!r}, {b!r})")
+    _require_inside(a, b, split)
     if sqrt_ends:
         return ((0.0, np.sqrt(split - a), lambda f: sqrt_substituted(f, a, b)),
                 (0.0, np.sqrt(b - split), lambda f: sqrt_substituted(f, b, a)))
@@ -135,3 +129,49 @@ def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
         total += adaptive_gauss(sub(f), lo, hi)
         coarse += composite_gauss(sub(g), lo, hi, START_PANELS)
     return total, coarse
+
+
+def _cumulative_half(f: Callable, tp: float, x0: float, sqrt: bool) -> Callable:
+    """x -> integral of f between the turning point tp and x, for x on tp's side of x0.
+
+    In u = sqrt|x - tp| when sqrt (2u*f is then smooth in u), else u = |x - tp|.
+    One CUMULATIVE_ORDER-node panel spans each gap of CUMULATIVE_SAMPLES even u;
+    on piece i the Hermite cubic in t = (v - u[i]) / du[i] has values F, slopes g.
+    """
+    to_u = np.sqrt if sqrt else np.asarray
+    inward = 1.0 if x0 > tp else -1.0
+    u = np.linspace(0.0, to_u(abs(x0 - tp)), CUMULATIVE_SAMPLES)
+    integrand = sqrt_substituted(f, tp, x0) if sqrt else lambda v: f(tp + inward * v)
+    du = np.diff(u)
+    half = 0.5 * du
+    nodes = 0.5 * (u[1:] + u[:-1])[:, None] + half[:, None] * _CUMULATIVE_NODES
+    y = np.asarray(integrand(np.concatenate((u, nodes.ravel()))), dtype=float)
+    panels = y[len(u):].reshape(nodes.shape) @ _CUMULATIVE_WEIGHTS * half
+    F, g = np.concatenate(([0.0], np.cumsum(panels))), y[:len(u)]
+    if not (math.isfinite(F[-1]) and np.all(np.isfinite(g))):
+        raise ValueError(f"integral from {tp!r} to {x0!r} is not finite")
+    rise = np.diff(F)
+    c2 = 3.0 * rise - du * (2.0 * g[:-1] + g[1:])
+    c3 = du * (g[:-1] + g[1:]) - 2.0 * rise
+
+    def integral(x):
+        v = to_u(np.maximum(inward * (x - tp), 0.0))
+        i = np.searchsorted(u[1:-1], v, side="right")
+        t = (v - u[i]) / du[i]
+        return F[i] + t * (du[i] * g[i] + t * (c2[i] + t * c3[i]))
+
+    return integral
+
+
+def cumulative_well_integral(f: Callable, a: float, b: float, split: float,
+                             sqrt_ends: bool = True) -> Callable:
+    """x -> integral of f from x to b; each half of well_integral is summed from its end."""
+    _require_inside(a, b, split)
+    right, left = (_cumulative_half(f, tp, split, sqrt_ends) for tp in (b, a))
+    total = float(right(split)) + float(left(split))
+
+    def integral(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= split, right(x), total - left(x))
+
+    return integral

@@ -9,8 +9,8 @@ Inside the well the semiclassical wavefunction is
 
 with Phi(x) the partial action integral from x to the right turning point and
 the Langer phase pi/4 fixed by the small-momentum reduction to an effective
-Schroedinger problem near the turning points. Phi is summed by Gauss-Legendre
-panels between even samples and interpolated by cubic Hermite pieces between them.
+Schroedinger problem near the turning points. Phi is the running well
+integral of the momentum (`quadrature.cumulative_well_integral`).
 """
 
 from __future__ import annotations
@@ -21,19 +21,15 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .classical import (Provenance, SampledDensity, default_grid, momentum_field, speed_field,
-                        well_layout)
+from .classical import (Provenance, SampledDensity, default_grid, momentum_field, sample_on_well,
+                        speed_field, well_layout)
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints, binding_energy, turning_points
-from .quadrature import cumulative_gauss, sqrt_substituted, well_integral, well_integral_pair
+from .quadrature import cumulative_well_integral, well_integral, well_integral_pair
 
 #: Langer connection phase at a linear turning point
 LANGER_PHASE = np.pi / 4.0
-#: fraction of d within which a grid sample counts as sitting on a turning point
-TP_EXCLUSION = 1e-9
-#: phase samples per half-well, one Gauss-Legendre panel between neighbours
-PHASE_SAMPLES = 2049
 #: quantization stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE
 RESOLUTION_ULPS = 4
 #: quantize gives up this far above the well bottom e_lo, in units of max(1, |e_lo|)
@@ -184,78 +180,25 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
                      alpha=alpha, action_residual=float(abs(best.action - target)))
 
 
-def _half_well_phase(momentum: Callable, tp: float, x0: float, sqrt: bool) -> Callable:
-    """x -> integral of p between the turning point tp and x, for x on tp's side of x0.
-
-    In u = sqrt|x - tp| where the layout sqrt-substitutes tp (p vanishes like
-    sqrt there and f = 2u*p is smooth in u), else in u = |x - tp| with f = p.
-    On piece i the Hermite cubic in t = (v - u[i]) / du[i] has values F and slopes f.
-    """
-    to_u = np.sqrt if sqrt else np.asarray
-    inward = 1.0 if x0 > tp else -1.0
-    u = np.linspace(0.0, to_u(abs(x0 - tp)), PHASE_SAMPLES)
-    integrand = sqrt_substituted(momentum, tp, x0) if sqrt else lambda v: momentum(tp + inward * v)
-    F, f = cumulative_gauss(integrand, u)
-    if not (math.isfinite(F[-1]) and np.all(np.isfinite(f))):
-        raise ValueError(f"momentum integral from {tp!r} to {x0!r} is not finite")
-    du, rise = np.diff(u), np.diff(F)
-    c2 = 3.0 * rise - du * (2.0 * f[:-1] + f[1:])
-    c3 = du * (f[:-1] + f[1:]) - 2.0 * rise
-
-    def phase(x):
-        v = to_u(np.maximum(inward * (x - tp), 0.0))
-        i = np.searchsorted(u[1:-1], v, side="right")
-        t = (v - u[i]) / du[i]
-        return F[i] + t * (du[i] * f[i] + t * (c2[i] + t * c3[i]))
-
-    return phase
-
-
 def _phase(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:
-    """Phi(x) = integral from x to b of T^-1(E - V(y)) dy.
-
-    The well is cut at the `well_layout` split; each half is accumulated
-    from its own turning point and the two are stitched at the split.
-    """
-    momentum, (split, sqrt_ends) = momentum_field(problem, E), well_layout(problem)
-    x0 = min(max(split, tps.a + 1e-12 * tps.d), tps.b - 1e-12 * tps.d)
-    right = _half_well_phase(momentum, tps.b, x0, sqrt_ends)
-    left = _half_well_phase(momentum, tps.a, x0, sqrt_ends)
-    total = float(right(x0)) + float(left(x0))
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= x0, right(x), total - left(x))
-
-    return phi
+    """Phi(x) = integral from x to b of T^-1(E - V(y)) dy, on the `well_layout`."""
+    return cumulative_well_integral(momentum_field(problem, E), tps.a, tps.b,
+                                    *well_layout(problem))
 
 
 def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
                         grid: np.ndarray) -> np.ndarray:
     """Normalized WKBJ wavefunction sampled on `grid` (0 outside the well)."""
-    tps = state.turning_points
-    E = state.energy
-    phi = _phase(problem, E, tps)
-    speed = speed_field(problem, E)
-    hbar = problem.hbar
+    tps, E, hbar = state.turning_points, state.energy, problem.hbar
+    phi, speed = _phase(problem, E, tps), speed_field(problem, E)
 
     def raw_psi(x):
         with np.errstate(divide="ignore"):
             return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
 
-    split, sqrt_ends = well_layout(problem)
-    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, split, sqrt_ends)
+    norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, *well_layout(problem))
     D = 1.0 / np.sqrt(norm)
-
-    grid = np.asarray(grid, dtype=float)
-    psi = np.zeros_like(grid)
-    inside = (grid >= tps.a) & (grid <= tps.b)
-    psi[inside] = D * raw_psi(grid[inside])
-    # psi diverges at the turning points exactly where the layout sqrt-substitutes them
-    if sqrt_ends:
-        for tp in (tps.a, tps.b):
-            psi[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
-    return psi
+    return sample_on_well(problem, tps, grid, lambda x: D * raw_psi(x))
 
 
 def wkbj_wavefunction(problem: BoundStateProblem, state: WkbjState,

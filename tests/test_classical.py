@@ -11,8 +11,10 @@ from semibound import (
     massless,
     nonrelativistic,
     period,
+    quantize,
     relativistic,
     turning_points,
+    wkbj_wavefunction,
 )
 from semibound.classical import speed_field
 from semibound.kinetics import from_callable as kinetic_from_callable
@@ -85,6 +87,23 @@ def test_density_diverges_at_turning_points(benchmark_a):
     at_tp = classical_density(benchmark_a, E, grid=np.array([tps.a, 0.0, tps.b]))
     assert np.isinf(at_tp.values[0]) and np.isinf(at_tp.values[2])
     assert np.isfinite(at_tp.values[1])
+
+
+@pytest.mark.parametrize("case, sentinel", [("benchmark_a", True), ("benchmark_b", False)])
+def test_one_sentinel_rule_for_classical_and_wkbj(request, case, sentinel):
+    # 1e-11*d inside each turning point is within TP_EXCLUSION*d: +inf where the layout
+    # sqrt-substitutes (A), finite where it does not (B, whose speed is 1 there)
+    problem = request.getfixturevalue(case)
+    state = quantize(problem, 15)
+    tps = state.turning_points
+    a, b, d = tps.a, tps.b, tps.d
+    grid = np.array([a - 1e-2 * d, a + 1e-11 * d, a + 1e-6 * d, 0.0,
+                     b - 1e-6 * d, b - 1e-11 * d, b + 1e-2 * d])
+    at_tp = np.isin(np.arange(7), [1, 5]) & sentinel
+    for rho in (classical_density(problem, state.energy, grid, tps),
+                wkbj_wavefunction(problem, state, grid)):
+        assert np.array_equal(np.isposinf(rho.values), at_tp)
+        assert np.all(np.isfinite(rho.values[~at_tp]))
 
 
 @pytest.mark.parametrize("law,pot,E", [

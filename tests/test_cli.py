@@ -144,6 +144,19 @@ def test_compare_pipeline_and_exit_codes(tmp_path):
     assert 3e-5 < errs[15] < 3e-4
 
 
+@pytest.mark.parametrize("points", [527, 561])
+def test_compare_l1_is_bounded_with_fgh_points_on_turning_points(tmp_path, points):
+    # odd multiples of 17 put FGH points on the turning points of n = 15; the sample there
+    # is the +inf sentinel, so the L1 distance stays near its 0.127 at N = 513
+    path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8")
+                        .replace("n_points: 513", f"n_points: {points}"))
+    assert main(["solve", "--config", str(path), "--pipeline", "compare",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    with (tmp_path / "cmp" / "summary.csv").open(newline="", encoding="utf-8") as f:
+        l1 = [float(row["l1_classical_vs_fgh_averaged"]) for row in csv.DictReader(f)]
+    assert len(l1) == 3 and all(np.isfinite(v) and v < 1.0 for v in l1)
+
+
 def test_compare_report_echoes_the_parsed_config(tmp_path):
     # the CLI adds the YAML mapping to the library report under "config"
     path = write_config(tmp_path, OSCILLATOR_YAML)

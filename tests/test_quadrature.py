@@ -8,6 +8,7 @@ from semibound.quadrature import (
     START_PANELS,
     adaptive_gauss,
     composite_gauss,
+    cumulative_well_integral,
     well_integral,
     well_integral_pair,
 )
@@ -83,12 +84,22 @@ def test_pair_matches_separate_integrals():
     assert coarse == pytest.approx(np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("sqrt_ends", [True, False])
+def test_cumulative_integral_closed_form(sqrt_ends):
+    # f = 1 + x^2 on (-1, 2): the integral from x to 2 is 2 - x + (8 - x^3)/3, 6 in all
+    x = np.linspace(-1.0, 2.0, 3001)
+    running = cumulative_well_integral(lambda t: 1.0 + t * t, -1.0, 2.0, 0.5, sqrt_ends)(x)
+    exact = 2.0 - x + (8.0 - x**3) / 3.0
+    assert np.max(np.abs(running - exact)) <= 1e-13 * 6.0
+
+
 @pytest.mark.parametrize("split", [0.0, 3.0, -1.0, 4.0, np.nan])
 @pytest.mark.parametrize("integrate", [
     lambda f, split: well_integral(f, 0.0, 3.0, split),
     lambda f, split: well_integral_pair(f, f, 0.0, 3.0, split),
     lambda f, split: well_integral(f, 0.0, 3.0, split, sqrt_ends=False),
-], ids=["single", "pair", "no-substitution"])
+    lambda f, split: cumulative_well_integral(f, 0.0, 3.0, split),
+], ids=["single", "pair", "no-substitution", "cumulative"])
 def test_split_outside_the_interval_is_refused(integrate, split):
     # the two halves need a < split < b; a split at an end or outside is an error
     with pytest.raises(ValueError, match="not inside"):

@@ -22,6 +22,7 @@ from semibound import (
 from semibound.classical import momentum_field
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
+from semibound.quadrature import cumulative_well_integral
 from semibound.wkbj import wavefunction_values
 
 from conftest import count_sign_changes
@@ -312,7 +313,7 @@ def test_phase_ends_at_action_and_zero(request, case, n):
 @pytest.mark.parametrize("sqrt", [True, False])
 def test_phase_of_a_momentum_that_is_not_finite_is_a_value_error(sqrt):
     with pytest.raises(ValueError, match="not finite"):
-        semibound.wkbj._half_well_phase(lambda x: np.full(np.shape(x), np.nan), 1.0, 0.0, sqrt)
+        cumulative_well_integral(lambda x: np.full(np.shape(x), np.nan), -1.0, 1.0, 0.0, sqrt)
 
 
 def _quad_phase(problem, E, tps, x):
