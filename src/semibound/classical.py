@@ -22,7 +22,8 @@ from .quadrature import well_integral
 DEFAULT_GRID_POINTS = 2001
 #: margin (fraction of d) added on each side of the classical region
 GRID_MARGIN = 0.05
-#: fraction of d within which a grid sample counts as sitting on a turning point
+#: fraction of d within which a grid sample counts as sitting on a turning point;
+#: no field is evaluated nearer a turning point than this
 TP_EXCLUSION = 1e-9
 
 
@@ -38,9 +39,11 @@ class Provenance(str, enum.Enum):
 class SampledDensity:
     """Probability density per unit length tabulated on a position grid.
 
-    Samples within TP_EXCLUSION * d of a divergent turning point carry the
-    sentinel value +inf; writers serialize the sentinel as null. `n` is the
-    quantum number when the density belongs to a specific bound state.
+    Samples within TP_EXCLUSION * d of a divergent (sqrt-substituted)
+    turning point carry the sentinel value +inf; writers serialize the
+    sentinel as null. Near any other turning point a sample holds the
+    density's finite limit there (see `sample_on_well`). `n` is the quantum
+    number when the density belongs to a specific bound state.
     """
 
     grid: np.ndarray
@@ -99,19 +102,22 @@ def well_layout(problem: BoundStateProblem) -> Tuple[float, bool]:
 
 def sample_on_well(problem: BoundStateProblem, tps: TurningPoints, grid: np.ndarray,
                    field: Callable) -> np.ndarray:
-    """field on the grid in [a, b] (divide-by-zero ignored), 0 outside.
+    """field on the grid in [a, b], 0 outside; never evaluated at a turning point.
 
-    Within TP_EXCLUSION * d of a turning point that `well_layout` substitutes,
-    where the field diverges, a sample is the +inf sentinel.
+    Each sample is evaluated clipped to [a + TP_EXCLUSION * d, b - TP_EXCLUSION * d],
+    where p > 0, so a sample nearer a turning point takes the field's limit
+    there (the flat 1/d of the massless law's rho_cl). Where `well_layout`
+    substitutes the turning point the field diverges instead, and such a
+    sample is the +inf sentinel.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.zeros_like(grid)
     inside = (grid >= tps.a) & (grid <= tps.b)
-    with np.errstate(divide="ignore"):
-        values[inside] = field(grid[inside])
+    margin = TP_EXCLUSION * tps.d
+    values[inside] = field(np.clip(grid[inside], tps.a + margin, tps.b - margin))
     if well_layout(problem)[1]:
         for tp in (tps.a, tps.b):
-            values[inside & (np.abs(grid - tp) < TP_EXCLUSION * tps.d)] = np.inf
+            values[inside & (np.abs(grid - tp) < margin)] = np.inf
     return values
 
 

@@ -10,7 +10,6 @@ oscillation period growing toward the turning points.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -199,12 +198,6 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghC
     return replace(report, density_metrics=tuple(metrics)), densities
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}" if math.isfinite(x) else "null"
-    return "null" if x is None else str(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -217,28 +210,27 @@ def _jsonable(obj):
     return obj
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> Path:
+    """The header line, then one CSV row per row of a 2-D float table.
 
-
-def _table_text(table: np.ndarray) -> str:
-    """CSV rows of a 2-D float table, each cell as `_fmt` writes a float.
-
-    One %-format renders every cell with 17 significant digits; the
-    non-finite ones, which it spells inf, -inf or nan (tokens no finite
-    cell contains), then become null.
+    One %-format renders every cell with 17 significant digits (an integer
+    exactly as str writes it); the non-finite ones, which it spells inf,
+    -inf or nan (tokens no finite cell contains), then become null.
     """
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    text = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    text = (row * len(table)) % tuple(table.ravel().tolist())
     for token in ("-inf", "inf", "nan"):
         text = text.replace(token, "null")
-    return text
+    path.write_text(",".join(header) + "\n" + text, encoding="utf-8")
+    return path
 
 
 def write_density_tables(densities: Sequence[SampledDensity],
                          out_dir: Union[str, Path]) -> list:
-    """One CSV per quantum number with an x column plus one column per route."""
+    """One CSV per quantum number with an x column plus one column per route.
+
+    The densities of one state must share a grid; any other raises GridMismatch.
+    """
     out = Path(out_dir)
     written = []
     by_state = {}
@@ -246,13 +238,12 @@ def write_density_tables(densities: Sequence[SampledDensity],
         by_state.setdefault(rho.n, []).append(rho)
     for n in sorted(k for k in by_state if k is not None):
         group = by_state[n]
-        header = ",".join(["x"] + [rho.provenance.value for rho in group])
-        table = np.column_stack([group[0].grid] + [rho.values for rho in group])
-        path = out / f"density_n{n:03d}.csv"
-        with path.open("w", encoding="utf-8") as f:
-            f.write(header + "\n")
-            f.write(_table_text(table))
-        written.append(path)
+        grid = group[0].grid
+        if not all(np.array_equal(rho.grid, grid) for rho in group[1:]):
+            raise GridMismatch(f"the densities of state n={n} are tabulated on different grids")
+        header = ["x"] + [rho.provenance.value for rho in group]
+        table = np.column_stack([grid] + [rho.values for rho in group])
+        written.append(_write_csv(out / f"density_n{n:03d}.csv", header, table))
     return written
 
 
@@ -262,21 +253,25 @@ def write_outputs(header: Sequence[str], rows: Sequence[dict], doc: dict,
     """The one writer of every pipeline; returns the written paths.
 
     csv: summary.csv (the header, then each row's cells in header order) and
-    one density table per state; json: report.json holding doc. Output is
-    bit-deterministic for identical inputs: floats are written with 17
-    significant digits and non-finite sentinels as null.
+    one density table per state, all through one %-format; json: report.json
+    holding doc. Output is bit-deterministic for identical inputs: floats are
+    written with 17 significant digits and non-finite sentinels, and missing
+    (None) summary cells, as null.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     formats = set(formats)
     if "csv" in formats:
-        lines = [",".join(header)] + [",".join(_fmt(row[c]) for c in header) for row in rows]
-        written.append(_write_lines(out / "summary.csv", lines))
+        table = np.array([[row[c] for c in header] for row in rows], dtype=float)
+        written.append(_write_csv(out / "summary.csv", header,
+                                  table.reshape(len(rows), len(header))))
         written.extend(write_density_tables(densities, out))
     if "json" in formats:
-        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2)
-        written.append(_write_lines(out / "report.json", [text]))
+        path = out / "report.json"
+        path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n",
+                        encoding="utf-8")
+        written.append(path)
     return written
 
 

@@ -161,7 +161,9 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     c[0] = T[M]
     c[1:M + 1] = T[M + 1:]
     c[N - M:] = T[M + 1:][::-1]
-    return np.fft.fft(c).real / N
+    # a finite T that overflows here is reported by the caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fft.fft(c).real / N
 
 
 def _zeta_negative(q: float) -> float:
@@ -272,13 +274,11 @@ def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
 
 
 def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
-    """Block eigenvectors (columns) on the whole grid.
+    """Eigenvectors (columns) of the parity +1 or -1 block on the whole grid.
 
     Even u: u_j/sqrt 2 at -j and +j, u_0 at the centre. Odd v: -v_j/sqrt 2 at
     -j, v_j/sqrt 2 at +j, 0 at the centre.
     """
-    if not parity:
-        return vectors
     half = math.sqrt(0.5) * (vectors[1:] if parity > 0 else vectors)
     M = len(half)
     psi = np.empty((2 * M + 1, vectors.shape[1]))

@@ -59,12 +59,8 @@ def action_integral(problem: BoundStateProblem, E: float,
     momentum = momentum_field(problem, E)
     layout = well_layout(problem)
     speed = speed_field(problem, E)
-
-    def inverse_speed(x):
-        with np.errstate(divide="ignore"):
-            return 1.0 / speed(x)
-
-    return well_integral_pair(momentum, inverse_speed, tps.a, tps.b, *layout)
+    # every node of the coarse rule is interior, where the speed is positive
+    return well_integral_pair(momentum, lambda x: 1.0 / speed(x), tps.a, tps.b, *layout)
 
 
 def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float) -> float:
@@ -193,8 +189,7 @@ def wavefunction_values(problem: BoundStateProblem, state: WkbjState,
     phi, speed = _phase(problem, E, tps), speed_field(problem, E)
 
     def raw_psi(x):
-        with np.errstate(divide="ignore"):
-            return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
+        return np.sin(phi(x) / hbar + LANGER_PHASE) / np.sqrt(speed(x))
 
     norm = well_integral(lambda x: raw_psi(x) ** 2, tps.a, tps.b, *well_layout(problem))
     D = 1.0 / np.sqrt(norm)

@@ -91,19 +91,23 @@ def test_density_diverges_at_turning_points(benchmark_a):
 
 @pytest.mark.parametrize("case, sentinel", [("benchmark_a", True), ("benchmark_b", False)])
 def test_one_sentinel_rule_for_classical_and_wkbj(request, case, sentinel):
-    # 1e-11*d inside each turning point is within TP_EXCLUSION*d: +inf where the layout
+    # a turning point and 1e-11*d inside it are within TP_EXCLUSION*d: +inf where the layout
     # sqrt-substitutes (A), finite where it does not (B, whose speed is 1 there)
     problem = request.getfixturevalue(case)
     state = quantize(problem, 15)
     tps = state.turning_points
     a, b, d = tps.a, tps.b, tps.d
-    grid = np.array([a - 1e-2 * d, a + 1e-11 * d, a + 1e-6 * d, 0.0,
-                     b - 1e-6 * d, b - 1e-11 * d, b + 1e-2 * d])
-    at_tp = np.isin(np.arange(7), [1, 5]) & sentinel
-    for rho in (classical_density(problem, state.energy, grid, tps),
-                wkbj_wavefunction(problem, state, grid)):
+    grid = np.array([a - 1e-2 * d, a, a + 1e-11 * d, a + 1e-6 * d, 0.0,
+                     b - 1e-6 * d, b - 1e-11 * d, b, b + 1e-2 * d])
+    at_tp = np.isin(np.arange(len(grid)), [1, 2, 6, 7]) & sentinel
+    rho_cl = classical_density(problem, state.energy, grid, tps)
+    for rho in (rho_cl, wkbj_wavefunction(problem, state, grid)):
         assert np.array_equal(np.isposinf(rho.values), at_tp)
         assert np.all(np.isfinite(rho.values[~at_tp]))
+    if not sentinel:
+        # exactly on a turning point the massless rho_cl is its flat value 2/tau
+        tau = period(problem, state.energy, tps)
+        assert np.all(rho_cl.values[[1, 7]] == 2.0 / tau)
 
 
 @pytest.mark.parametrize("law,pot,E", [

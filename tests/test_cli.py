@@ -157,6 +157,19 @@ def test_compare_l1_is_bounded_with_fgh_points_on_turning_points(tmp_path, point
     assert len(l1) == 3 and all(np.isfinite(v) and v < 1.0 for v in l1)
 
 
+def test_massless_density_is_flat_on_fgh_points_on_turning_points(tmp_path):
+    # at N = 527 two FGH points sit on the turning points of n = 15 on benchmark B; the
+    # massless layout substitutes neither, so rho_cl there is its flat 1/d, never null
+    path = write_config(tmp_path, BENCH_B.read_text(encoding="utf-8")
+                        .replace("n_points: 513", "n_points: 527"))
+    assert main(["solve", "--config", str(path), "--pipeline", "compare",
+                 "--out", str(tmp_path / "cmp")]) == 0
+    with (tmp_path / "cmp" / "density_n015.csv").open(newline="", encoding="utf-8") as f:
+        rho_cl = [row["rho_cl"] for row in csv.DictReader(f)]
+    assert "null" not in rho_cl
+    assert len(set(rho_cl) - {"0"}) == 1
+
+
 def test_compare_report_echoes_the_parsed_config(tmp_path):
     # the CLI adds the YAML mapping to the library report under "config"
     path = write_config(tmp_path, OSCILLATOR_YAML)

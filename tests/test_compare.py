@@ -24,7 +24,7 @@ from semibound import (
     solve,
     wkbj_wavefunction,
 )
-from semibound.compare import _fmt, _masked_boxcar, write_density_tables, write_outputs
+from semibound.compare import _masked_boxcar, write_density_tables, write_outputs
 from semibound.potentials import TurningPoints
 
 
@@ -238,7 +238,7 @@ def test_density_table_text_is_pinned(tmp_path):
 
 
 def test_density_table_matches_per_cell_rendering(tmp_path):
-    # the one-format table writer against the per-cell _fmt over varied magnitudes
+    # the one-format table writer against a per-cell rendering over varied magnitudes
     rng = np.random.default_rng(13)
     grid = np.linspace(-4.0, 4.0, 61)
     values = rng.standard_normal((3, 61)) * 10.0 ** rng.integers(-320, 300, (3, 61))
@@ -256,7 +256,7 @@ def test_density_table_matches_per_cell_rendering(tmp_path):
     assert len(rows) == len(table)
     for row, expected in zip(rows, table):
         cells = row.split(",")
-        assert cells == [_fmt(float(v)) for v in expected]
+        assert cells == [f"{v:.17g}" if np.isfinite(v) else "null" for v in expected]
         assert [c == "null" for c in cells] == [not np.isfinite(v) for v in expected]
 
 
@@ -279,3 +279,21 @@ def test_json_report_structure(tmp_path, benchmark_a):
         "n", "energy_fgh", "energy_wkbj", "relative_error", "alpha"}
     assert set(doc["density_metrics"][0]) == {
         "n", "l1_classical_vs_fgh_averaged", "sup_interior_classical_vs_fgh_averaged"}
+
+
+def test_distance_refuses_an_unknown_metric_and_a_nonuniform_grid():
+    a = _density(np.ones(5))
+    with pytest.raises(ValueError, match="unknown metric 'bogus'"):
+        density_distance(a, a, "bogus")
+    skewed = _density(np.ones(5), np.array([0.0, 0.1, 0.3, 0.6, 1.0]))
+    with pytest.raises(ValueError, match="must be uniform"):
+        density_distance(skewed, skewed)
+
+
+def test_density_tables_refuse_columns_on_different_grids(tmp_path):
+    # two n = 0 densities on grids of one length: neither goes under the other's x values
+    rho = _density(np.ones(5), np.linspace(-1.0, 1.0, 5), n=0)
+    shifted = replace(rho, grid=rho.grid + 0.5, provenance=Provenance.CLASSICAL)
+    with pytest.raises(GridMismatch, match="state n=0"):
+        write_density_tables([rho, shifted], tmp_path)
+    assert not (tmp_path / "density_n000.csv").exists()

@@ -541,3 +541,13 @@ def test_small_momentum_reduction_scaling():
     gap100 = binding_gap(100.0)
     assert gap50 <= 2.5e-3
     assert gap50 / gap100 == pytest.approx(2.0 ** (4.0 / 3.0), rel=0.05)
+
+
+def test_finite_kinetic_law_overflowing_its_dft_is_an_eigensolver_failure():
+    # every T(p_k) is finite, but their sum in the kernel's DFT overflows
+    huge = kinetic_from_callable("huge", lambda p: 1e308 * np.minimum(0.5 * p * p, 1.0),
+                                 deriv=lambda p: p, deriv2=lambda p: np.ones_like(p),
+                                 inverse=lambda y: np.sqrt(2.0 * y))
+    prob = BoundStateProblem(huge, harmonic(1.0, 1.0))
+    with pytest.raises(EigensolverFailure, match="a finite T\\(p\\) overflowed its DFT"):
+        solve(prob, FghConfig(n_points=65, box=(-8.0, 8.0), n_states=4))

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semibound import (
+    BoundStateProblem,
     NoEffectiveMass,
     Smoothness,
     effective_mass,
+    harmonic,
     massless,
     nonrelativistic,
     reduced_kinetic,
@@ -167,3 +169,20 @@ def test_validation_reports_non_finite_values():
     assert report.summary() == "\n".join(
         ["kinetic law 'capped' (smooth):", "  [FAIL] values finite worst=nan at p=-5.0"]
         + [f"  [FAIL] {name} worst=nan at p=None" for name in names[1:]])
+
+
+def test_nonpositive_hbar_is_refused():
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0), hbar=0.0)
+
+
+def test_validation_needs_samples():
+    with pytest.raises(ValueError, match="non-empty"):
+        validate_admissibility(nonrelativistic(1.0), np.array([]))
+
+
+def test_effective_mass_of_negative_curvature_raises():
+    concave = from_callable("concave", lambda p: 0.5 * p * p, deriv=lambda p: p,
+                            deriv2=lambda p: -np.ones_like(p))
+    with pytest.raises(NoEffectiveMass, match="not positive"):
+        effective_mass(concave)

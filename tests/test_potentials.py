@@ -20,7 +20,7 @@ from semibound import (
     turning_points,
 )
 from semibound.kinetics import from_callable as kinetic_from_callable
-from semibound.potentials import LocalForm
+from semibound.potentials import LocalForm, TurningPoints
 from semibound.potentials import from_callable as potential_from_callable
 
 
@@ -212,3 +212,8 @@ def test_builtin_wells_declare_their_local_form():
 def test_local_form_rejects_inconsistent_values(left, right, q):
     with pytest.raises(ValueError):
         LocalForm(left, right, q)
+
+
+def test_turning_points_out_of_order_are_refused():
+    with pytest.raises(ValueError, match="out of order"):
+        TurningPoints(1.0, 0.0)

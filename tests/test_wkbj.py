@@ -340,3 +340,8 @@ def test_phase_matches_quad(request, case, bound, n):
     phi = semibound.wkbj._phase(problem, E, tps)(x)
     action = action_integral(problem, E, tps)[0]
     assert np.max(np.abs(phi - _quad_phase(problem, E, tps, x))) <= bound * action
+
+
+def test_negative_quantum_number_is_refused(oscillator):
+    with pytest.raises(ValueError, match="quantum number must be >= 0"):
+        quantize(oscillator, -1)
