@@ -222,11 +222,10 @@ def validate(config: RunConfig) -> kinetics.ValidationReport:
     return _admissibility(_law(config), config)
 
 
-def _states_doc(config: RunConfig, rows: list) -> dict:
+def _states_doc(rows: list) -> dict:
     """JSON document of a per-state pipeline: its rows with energy_* named energy."""
-    return {"config": config.echo, "states": [
-        {("energy" if k.startswith("energy_") else k): v for k, v in row.items()}
-        for row in rows]}
+    return {"states": [{("energy" if k.startswith("energy_") else k): v for k, v in row.items()}
+                       for row in rows]}
 
 
 def _classical(problem, config: RunConfig, ns: list) -> tuple:
@@ -240,7 +239,7 @@ def _classical(problem, config: RunConfig, ns: list) -> tuple:
             tps, tau), n=n))
         rows.append({"n": n, "energy_wkbj": state.energy, "a": tps.a, "b": tps.b,
                      "d": tps.d, "period": tau})
-    return rows, densities, _states_doc(config, rows)
+    return rows, densities, _states_doc(rows)
 
 
 def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
@@ -252,29 +251,25 @@ def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
         densities.append(wkbj.wkbj_wavefunction(problem, state, grid))
         rows.append({"n": n, "energy_wkbj": state.energy, "alpha": state.alpha,
                      "action_residual": state.action_residual, "a": tps.a, "b": tps.b})
-    return rows, densities, _states_doc(config, rows)
+    return rows, densities, _states_doc(rows)
 
 
 def _fgh(problem, config: RunConfig, ns: list) -> tuple:
     spectrum = fgh.solve(problem, config.fgh.covering(ns))
     rows = [{"n": n, "energy_fgh": spectrum.states[n].energy} for n in ns]
     densities = [fgh.fgh_density(spectrum, n) for n in ns]
-    return rows, densities, _states_doc(config, rows)
+    return rows, densities, _states_doc(rows)
 
 
 def _compare(problem, config: RunConfig, ns: list) -> tuple:
     report, densities = compare.build_report(problem, ns, config.fgh)
     rows, doc = compare.report_tables(report)
-    return rows, densities, {"config": config.echo, **doc}
+    return rows, densities, doc
 
 
-#: pipeline -> (summary.csv columns, runner returning (rows, densities, JSON document))
-_PIPELINES = {
-    "classical": (("n", "energy_wkbj", "a", "b", "d", "period"), _classical),
-    "wkbj": (("n", "energy_wkbj", "alpha", "action_residual", "a", "b"), _wkbj),
-    "fgh": (("n", "energy_fgh"), _fgh),
-    "compare": (compare.SUMMARY_HEADER, _compare),
-}
+#: pipeline -> runner returning (summary rows, densities, JSON document); the keys of
+#: the rows are the summary.csv columns
+_PIPELINES = {"classical": _classical, "wkbj": _wkbj, "fgh": _fgh, "compare": _compare}
 PIPELINES = tuple(_PIPELINES)
 
 
@@ -294,9 +289,9 @@ def run_solve(config: RunConfig, pipeline: str, out_dir: Optional[str] = None) -
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
-    header, runner = _PIPELINES[pipeline]
-    rows, densities, doc = runner(problem, config, sorted(set(config.states)))
-    return compare.write_outputs(header, rows, doc, densities, config.formats, out_dir)
+    rows, densities, doc = _PIPELINES[pipeline](problem, config, sorted(set(config.states)))
+    return compare.write_outputs(rows, {"config": config.echo, **doc}, densities,
+                                 config.formats, out_dir)
 
 
 def main(argv=None) -> int:

@@ -230,13 +230,17 @@ def write_density_tables(densities: Sequence[SampledDensity],
     """One CSV per quantum number with an x column plus one column per route.
 
     The densities of one state must share a grid; any other raises GridMismatch.
+    A density without a state (n None) has no table and raises ValueError.
     """
     out = Path(out_dir)
     written = []
     by_state = {}
     for rho in densities:
+        if rho.n is None:
+            raise ValueError(f"a {rho.provenance.value} density without a state n has no "
+                             f"density table; give it one with dataclasses.replace(rho, n=...)")
         by_state.setdefault(rho.n, []).append(rho)
-    for n in sorted(k for k in by_state if k is not None):
+    for n in sorted(by_state):
         group = by_state[n]
         grid = group[0].grid
         if not all(np.array_equal(rho.grid, grid) for rho in group[1:]):
@@ -247,25 +251,27 @@ def write_density_tables(densities: Sequence[SampledDensity],
     return written
 
 
-def write_outputs(header: Sequence[str], rows: Sequence[dict], doc: dict,
-                  densities: Sequence[SampledDensity], formats: Iterable[str],
-                  out_dir: Union[str, Path]) -> list:
+def write_outputs(rows: Sequence[dict], doc: dict, densities: Sequence[SampledDensity],
+                  formats: Iterable[str], out_dir: Union[str, Path]) -> list:
     """The one writer of every pipeline; returns the written paths.
 
-    csv: summary.csv (the header, then each row's cells in header order) and
-    one density table per state, all through one %-format; json: report.json
-    holding doc. Output is bit-deterministic for identical inputs: floats are
-    written with 17 significant digits and non-finite sentinels, and missing
-    (None) summary cells, as null.
+    csv: summary.csv (the first row's keys as the header, then each row's
+    cells in that order; a row lacking a column raises KeyError) and one
+    density table per state, all through one %-format; json: report.json
+    holding doc. No rows raises ValueError. Output is bit-deterministic for
+    identical inputs: floats are written with 17 significant digits and
+    non-finite sentinels, and missing (None) summary cells, as null.
     """
+    if not rows:
+        raise ValueError("write_outputs needs at least one summary row")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     formats = set(formats)
     if "csv" in formats:
+        header = list(rows[0])
         table = np.array([[row[c] for c in header] for row in rows], dtype=float)
-        written.append(_write_csv(out / "summary.csv", header,
-                                  table.reshape(len(rows), len(header))))
+        written.append(_write_csv(out / "summary.csv", header, table))
         written.extend(write_density_tables(densities, out))
     if "json" in formats:
         path = out / "report.json"
@@ -275,26 +281,24 @@ def write_outputs(header: Sequence[str], rows: Sequence[dict], doc: dict,
     return written
 
 
-#: summary.csv columns of the compare pipeline
-SUMMARY_HEADER = tuple(f.name for f in fields(StateComparison)) + tuple(
-    f.name for f in fields(DensityMetrics) if f.name != "n")
-
-
 def report_tables(report: ComparisonReport) -> tuple:
-    """(summary rows keyed by SUMMARY_HEADER, JSON document) of a report.
+    """(summary rows, JSON document) of a report.
 
-    A state without density metrics gets null metric cells.
+    Each row holds the StateComparison fields, then the DensityMetrics fields
+    other than n; a state without density metrics gets None in those.
     """
     per_state = [asdict(r) for r in report.per_state]
     metrics = [asdict(m) for m in report.density_metrics]
     by_n = {m["n"]: m for m in metrics}
-    rows = [{**dict.fromkeys(SUMMARY_HEADER), **by_n.get(r["n"], {}), **r} for r in per_state]
-    doc = {"per_state": per_state, "density_metrics": metrics}
-    return rows, doc
+    names = [f.name for f in fields(DensityMetrics) if f.name != "n"]
+    rows = [{**r, **{k: by_n.get(r["n"], {}).get(k) for k in names}} for r in per_state]
+    return rows, {"per_state": per_state, "density_metrics": metrics}
 
 
 def export(report: ComparisonReport, densities: Sequence[SampledDensity],
            formats: Iterable[str], out_dir: Union[str, Path]) -> list:
-    """Write a comparison report and its densities through `write_outputs`."""
-    rows, doc = report_tables(report)
-    return write_outputs(SUMMARY_HEADER, rows, doc, densities, formats, out_dir)
+    """Write a comparison report and its densities through `write_outputs`.
+
+    A report with no states, or a density without a state n, raises ValueError.
+    """
+    return write_outputs(*report_tables(report), densities, formats, out_dir)

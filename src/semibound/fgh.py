@@ -148,19 +148,17 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     """K(r) = (1/N) sum_k T(p_k) cos(2 pi k r / N) via one real DFT.
 
     p_k = 2 pi hbar k / (N dx); the hbar factor reduces to 1 in natural units.
-    A T(p_k) that is not finite raises EigensolverFailure before the DFT.
+    T is even and N odd, so T is evaluated at k = 0 .. (N-1)/2 only and
+    mirrored. A T(p_k) that is not finite raises EigensolverFailure before the DFT.
     """
     N = n_points
     M = (N - 1) // 2
-    p = 2.0 * np.pi * problem.hbar * np.arange(-M, M + 1) / (N * dx)
+    p = 2.0 * np.pi * problem.hbar * np.arange(M + 1) / (N * dx)
     T = np.asarray(problem.kinetic.eval(p), dtype=float)
     if not np.isfinite(T).all():
         raise EigensolverFailure(f"the kinetic kernel needs a finite T(p): T is not finite "
                                  f"at grid p = {p[~np.isfinite(T)][0]:.6g}")
-    c = np.empty(N)
-    c[0] = T[M]
-    c[1:M + 1] = T[M + 1:]
-    c[N - M:] = T[M + 1:][::-1]
+    c = np.concatenate((T, T[:0:-1]))
     # a finite T that overflows here is reported by the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         return np.fft.fft(c).real / N

@@ -262,9 +262,35 @@ def test_density_table_matches_per_cell_rendering(tmp_path):
 
 def test_summary_text_is_pinned(tmp_path):
     rows = [{"n": 3, "energy": 2.0 / 3.0, "alpha": None}]
-    (path,) = write_outputs(("n", "energy", "alpha"), rows, {}, [], ["csv"], tmp_path)
+    (path,) = write_outputs(rows, {}, [], ["csv"], tmp_path)
     assert path.name == "summary.csv"
     assert path.read_text(encoding="utf-8") == "n,energy,alpha\n3,0.66666666666666663,null\n"
+
+
+def test_summary_columns_are_the_first_rows_keys(tmp_path):
+    rows = [{"b": 1.0, "a": 2.0}, {"a": 4.0, "b": 3.0}]
+    (path,) = write_outputs(rows, {}, [], ["csv"], tmp_path)
+    assert path.read_text(encoding="utf-8") == "b,a\n1,2\n3,4\n"
+    with pytest.raises(KeyError, match="'b'"):
+        write_outputs([{"a": 1.0, "b": 2.0}, {"a": 3.0}], {}, [], ["csv"], tmp_path)
+
+
+def test_write_outputs_refuses_no_rows(tmp_path, benchmark_a):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="at least one summary row"):
+        write_outputs([], {}, [], ["csv", "json"], out)
+    spectrum = solve(benchmark_a, FghConfig(n_points=65, n_states=2))
+    with pytest.raises(ValueError, match="at least one summary row"):
+        export(compare_spectra(spectrum, []), [], ["csv"], out)
+    assert not out.exists()
+
+
+def test_export_refuses_a_density_without_a_state(tmp_path, benchmark_a):
+    # the README's rho_cl call carries no n: it was dropped without a table or an error
+    state = quantize(benchmark_a, 0)
+    report, _ = build_report(benchmark_a, [0], FghConfig(n_points=257))
+    with pytest.raises(ValueError, match="rho_cl density without a state n"):
+        export(report, [classical_density(benchmark_a, state.energy)], ["csv"], tmp_path)
 
 
 def test_json_report_structure(tmp_path, benchmark_a):
