@@ -225,30 +225,37 @@ def _write_csv(path: Path, header: Sequence[str], table: np.ndarray) -> Path:
     return path
 
 
-def write_density_tables(densities: Sequence[SampledDensity],
-                         out_dir: Union[str, Path]) -> list:
-    """One CSV per quantum number with an x column plus one column per route.
+def _by_state(densities: Sequence[SampledDensity]) -> list:
+    """(n, densities of state n) pairs in ascending n, each state's densities on one grid.
 
-    The densities of one state must share a grid; any other raises GridMismatch.
-    A density without a state (n None) has no table and raises ValueError.
+    A density without a state (n None) raises ValueError; the densities of
+    one state on different grids raise GridMismatch.
     """
-    out = Path(out_dir)
-    written = []
     by_state = {}
     for rho in densities:
         if rho.n is None:
             raise ValueError(f"a {rho.provenance.value} density without a state n has no "
                              f"density table; give it one with dataclasses.replace(rho, n=...)")
         by_state.setdefault(rho.n, []).append(rho)
-    for n in sorted(by_state):
-        group = by_state[n]
-        grid = group[0].grid
-        if not all(np.array_equal(rho.grid, grid) for rho in group[1:]):
+    for n, group in by_state.items():
+        if not all(np.array_equal(rho.grid, group[0].grid) for rho in group[1:]):
             raise GridMismatch(f"the densities of state n={n} are tabulated on different grids")
-        header = ["x"] + [rho.provenance.value for rho in group]
-        table = np.column_stack([grid] + [rho.values for rho in group])
-        written.append(_write_csv(out / f"density_n{n:03d}.csv", header, table))
-    return written
+    return sorted(by_state.items())
+
+
+def write_density_tables(densities: Sequence[SampledDensity],
+                         out_dir: Union[str, Path]) -> list:
+    """One CSV per quantum number with an x column plus one column per route.
+
+    The densities of one state must share a grid; any other raises GridMismatch.
+    A density without a state (n None) has no table and raises ValueError.
+    Every density is checked before the first table is written.
+    """
+    out = Path(out_dir)
+    return [_write_csv(out / f"density_n{n:03d}.csv",
+                       ["x"] + [rho.provenance.value for rho in group],
+                       np.column_stack([group[0].grid] + [rho.values for rho in group]))
+            for n, group in _by_state(densities)]
 
 
 def write_outputs(rows: Sequence[dict], doc: dict, densities: Sequence[SampledDensity],
@@ -258,25 +265,30 @@ def write_outputs(rows: Sequence[dict], doc: dict, densities: Sequence[SampledDe
     csv: summary.csv (the first row's keys as the header, then each row's
     cells in that order; a row lacking a column raises KeyError) and one
     density table per state, all through one %-format; json: report.json
-    holding doc. No rows raises ValueError. Output is bit-deterministic for
-    identical inputs: floats are written with 17 significant digits and
-    non-finite sentinels, and missing (None) summary cells, as null.
+    holding doc. No rows raises ValueError. Every refusal comes before the
+    first write, so a refused call leaves out_dir as it found it. Output is
+    bit-deterministic for identical inputs: floats are written with 17
+    significant digits and non-finite sentinels, and missing (None) summary
+    cells, as null.
     """
     if not rows:
         raise ValueError("write_outputs needs at least one summary row")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     formats = set(formats)
     if "csv" in formats:
         header = list(rows[0])
         table = np.array([[row[c] for c in header] for row in rows], dtype=float)
+        _by_state(densities)  # refuses a bad density before summary.csv is written
+    if "json" in formats:
+        text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if "csv" in formats:
         written.append(_write_csv(out / "summary.csv", header, table))
         written.extend(write_density_tables(densities, out))
     if "json" in formats:
         path = out / "report.json"
-        path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         written.append(path)
     return written
 

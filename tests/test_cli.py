@@ -654,7 +654,7 @@ def test_value_error_inside_solver_propagates(tmp_path, monkeypatch):
 
 
 def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
-    # the root finders and the phase are in-house: a CLI run pays only for scipy.linalg
+    # the root finders and the phase are in-house: a CLI run pays only for scipy's LAPACK
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', 'compare', "
             f"'--out', {str(tmp_path / 'out')!r}]); "
@@ -679,8 +679,21 @@ def test_cli_solve_without_fgh_imports_no_scipy(tmp_path, pipeline):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+@pytest.mark.parametrize("pipeline", ["fgh", "compare"])
+def test_cli_fgh_routes_load_scipy_lapack_alone(tmp_path, pipeline):
+    # the FGH eigensolve loads scipy's LAPACK extension module, not the scipy.linalg package
+    code = ("import sys; from semibound.cli import main; "
+            f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 ['scipy.linalg._flapack']"
+
+
 def test_cli_validate_imports_no_scipy():
-    # scipy.linalg is imported by the FGH eigensolve alone, when it runs
+    # scipy's LAPACK extension is loaded by the FGH eigensolve alone, when it runs
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['validate', '--config', {str(BENCH_A)!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

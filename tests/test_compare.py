@@ -323,3 +323,23 @@ def test_density_tables_refuse_columns_on_different_grids(tmp_path):
     with pytest.raises(GridMismatch, match="state n=0"):
         write_density_tables([rho, shifted], tmp_path)
     assert not (tmp_path / "density_n000.csv").exists()
+
+
+@pytest.mark.parametrize("refused", ["no state", "grids"])
+def test_refused_write_leaves_the_directory_as_it_found_it(tmp_path, refused):
+    # every density is checked before summary.csv, or an earlier state's table, is written
+    good = _density(np.ones(5), n=0)
+    bad, error = ((replace(good, n=None), ValueError) if refused == "no state"
+                  else (replace(good, n=1, grid=good.grid + 0.5), GridMismatch))
+    densities = [good, replace(good, n=1), bad]
+    old = tmp_path / "old.txt"
+    old.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(error):
+        write_outputs([{"n": 0.0}], {}, densities, ["csv", "json"], tmp_path)
+    with pytest.raises(error):
+        write_density_tables(densities, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert old.read_text(encoding="utf-8") == "kept\n"
+    with pytest.raises(error):
+        write_outputs([{"n": 0.0}], {}, densities, ["csv"], tmp_path / "new")
+    assert not (tmp_path / "new").exists()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import GAUSS_OFFSET, _eigenpairs, _zeta_negative, kinetic_kernel, resolve_grid
+from semibound.fgh import (GAUSS_OFFSET, _block, _eigenpairs, _kernel_and_potential, _lowest,
+                           _zeta_negative, kinetic_kernel, resolve_grid)
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
@@ -216,6 +218,41 @@ def test_parity_blocks_match_the_full_matrix(fixture, n_points, n_states, reques
     assert np.max(np.abs(vectors - full_v)) <= 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["benchmark_a", "benchmark_b"])
+def test_lowest_is_scipy_eigh_bit_for_bit(fixture, request):
+    """The direct dsyevr call gives eigh's bits on both parity blocks and on the unsplit H."""
+    prob = request.getfixturevalue(fixture)
+    grid = resolve_grid(prob, FghConfig(n_points=513, n_states=16))
+    K, V = _kernel_and_potential(prob, grid)
+    M = len(grid) // 2
+    for parity, diagonal, count in ((1, V[M:], 9), (-1, V[M + 1:], 9), (0, V, 16)):
+        energies, vectors = _lowest(K, diagonal, parity, count)
+        reference = scipy.linalg.eigh(_block(K, diagonal, parity), lower=True,
+                                      subset_by_index=[0, count - 1])
+        assert energies.tobytes() == reference[0].tobytes()
+        assert vectors.tobytes() == reference[1].tobytes()
+
+
+def test_lapack_alone_then_scipy_linalg_is_the_same_solve(tmp_path):
+    """A solve loads scipy's LAPACK extension alone; importing scipy.linalg later reuses it."""
+    code = ("import sys; import numpy as np; from semibound import FghConfig, solve, fgh; "
+            "from semibound import BoundStateProblem, relativistic, linear; "
+            "prob = BoundStateProblem(relativistic(0.2), linear(0.2)); "
+            "cfg = FghConfig(n_points=257, n_states=8); "
+            "first = solve(prob, cfg); lapack = sys.modules['scipy.linalg._flapack']; "
+            "assert 'scipy.linalg' not in sys.modules; "
+            "import scipy.linalg; second = solve(prob, cfg); "
+            "same = all(np.array_equal(a.wavefunction, b.wavefunction) "
+            "for a, b in zip(first.states, second.states)); "
+            "print(np.array_equal(first.energies, second.energies), same, "
+            "scipy.linalg.lapack._flapack is lapack, fgh._lapack() is lapack)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"] * 4
+
+
 def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
     """Parities need not alternate: a block whose every state is among the lowest is solved again.
 
@@ -321,11 +358,12 @@ def test_kink_correction_overflow_is_an_eigensolver_failure():
 
 
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
-    def broken(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", broken)
-    with pytest.raises(EigensolverFailure, match="no convergence"):
+    # a LAPACK whose dsyevr reports info = 3 > 0: it did not converge
+    broken = SimpleNamespace(
+        dsyevr_lwork=lambda n, lower: (26.0 * n, 10 * n, 0),
+        dsyevr=lambda a, **kwargs: (np.zeros(len(a)), np.zeros_like(a), 0, None, 3))
+    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: broken)
+    with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
         solve(benchmark_a, FghConfig(n_points=65, n_states=4))
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
     assert main(["solve", "--config", str(config), "--pipeline", "fgh",
