@@ -367,21 +367,17 @@ def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     by LAPACK's dsyevr in place on each block of H, and a split well holds one block
     at a time (see _eigenpairs). A non-finite H raises EigensolverFailure
     naming the kinetic kernel or the first grid x where V is not finite.
-    Eigenvectors are normalized to dx * sum(psi_i^2) = 1 (unit integral over
-    the whole grid) with the first non-negligible component positive.
+    Eigenvectors are scaled and signed as one table: divided by sqrt(dx), so
+    dx * sum(psi_i^2) = 1, and negated where their first component above 1e-6
+    of their largest magnitude is negative; state n's wavefunction is row n.
     """
     grid = resolve_grid(problem, config)
-    dx = grid[1] - grid[0]
     energies, vectors = _eigenpairs(problem, grid, config.n_states)
-
-    states = []
-    for n in range(config.n_states):
-        psi = vectors[:, n] / np.sqrt(dx)
-        big = np.abs(psi) > 1e-6 * np.abs(psi).max()
-        if psi[np.argmax(big)] < 0:
-            psi = -psi
-        states.append(FghState(n=n, energy=float(energies[n]), wavefunction=psi))
-    return Spectrum(states=tuple(states), grid=grid)
+    psi = np.divide(vectors.T, np.sqrt(grid[1] - grid[0]), order="C")  # one row per state
+    big = np.abs(psi) > 1e-6 * np.abs(psi).max(axis=1, keepdims=True)
+    psi *= np.sign(np.take_along_axis(psi, np.argmax(big, axis=1, keepdims=True), axis=1))
+    return Spectrum(states=tuple(FghState(n=n, energy=float(e), wavefunction=row)
+                                 for n, (e, row) in enumerate(zip(energies, psi))), grid=grid)
 
 
 def fgh_density(spectrum: Spectrum, n: int) -> SampledDensity:

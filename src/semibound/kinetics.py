@@ -70,7 +70,7 @@ def _clamped_inverse(raw: Callable, rest: float) -> Callable:
             bad = float(np.min(arr))
             raise ValueError(f"inverse argument {bad} below rest energy {rest}")
         out = raw(np.maximum(arr, rest))
-        return out if isinstance(y, np.ndarray) else float(out)
+        return out if isinstance(y, np.ndarray) or arr.ndim else float(out)
 
     return inverse
 

@@ -172,6 +172,9 @@ def cumulative_well_integral(f: Callable, a: float, b: float, split: float,
 
     def integral(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x >= split, right(x), total - left(x))
+        out, on_right = np.empty(x.shape), x >= split
+        out[on_right] = right(x[on_right])
+        out[~on_right] = total - left(x[~on_right])
+        return out
 
     return integral

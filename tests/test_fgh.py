@@ -203,6 +203,20 @@ def test_partial_solve_matches_full_diagonalisation(benchmark_a, n_points, n_sta
         assert state.wavefunction[np.argmax(big)] > 0
 
 
+@pytest.mark.parametrize("box", ["auto", (-3.0, 5.0)], ids=["parity blocks", "one block"])
+def test_states_are_the_scaled_and_signed_eigenvectors_bit_for_bit(oscillator, box):
+    cfg = FghConfig(n_points=129, n_states=8, box=box)
+    spectrum = solve(oscillator, cfg)
+    grid = resolve_grid(oscillator, cfg)
+    energies, vectors = _eigenpairs(oscillator, grid, cfg.n_states)
+    for n, state in enumerate(spectrum.states):
+        psi = vectors[:, n] / np.sqrt(grid[1] - grid[0])
+        if psi[np.argmax(np.abs(psi) > 1e-6 * np.abs(psi).max())] < 0:
+            psi = -psi
+        assert (state.n, state.energy) == (n, float(energies[n]))
+        assert state.wavefunction.tobytes() == psi.tobytes()
+
+
 @pytest.mark.parametrize("fixture,n_points,n_states", [
     ("benchmark_a", 513, 16), ("benchmark_b", 513, 7), ("oscillator", 257, 8),
     ("benchmark_a", 33, 33),  # every state: n_states = N = 2M + 1

@@ -186,3 +186,21 @@ def test_effective_mass_of_negative_curvature_raises():
                             deriv2=lambda p: -np.ones_like(p))
     with pytest.raises(NoEffectiveMass, match="not positive"):
         effective_mass(concave)
+
+
+@pytest.mark.parametrize("law", [relativistic(0.2),
+                                 from_callable("relativistic", lambda p: np.sqrt(p * p + 0.04))],
+                         ids=["built-in", "synthesized"])
+def test_inverse_takes_a_list_as_eval_does(law):
+    y = [0.5, 0.6]
+    assert np.array_equal(law.inverse(y), law.inverse(np.array(y)))
+    assert np.asarray(law.eval(y)).shape == np.asarray(law.deriv(y)).shape == (2,)
+    assert type(law.inverse(0.5)) is float
+    assert law.inverse(np.array(0.5)).shape == ()
+
+
+def test_validation_with_one_positive_sample_passes_monotonicity_with_a_note():
+    report = validate_admissibility(nonrelativistic(1.0), np.array([-1.0, 0.0, 1.0]))
+    check, = [c for c in report.checks if c.condition == "C: monotonicity"]
+    assert check.passed
+    assert check.note == "fewer than 2 positive samples"

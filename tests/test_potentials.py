@@ -9,6 +9,7 @@ from semibound import (
     MultiWellUnsupported,
     NoClassicalRegion,
     NotConfining,
+    SemiboundError,
     binding_energy,
     harmonic,
     linear,
@@ -217,3 +218,11 @@ def test_local_form_rejects_inconsistent_values(left, right, q):
 def test_turning_points_out_of_order_are_refused():
     with pytest.raises(ValueError, match="out of order"):
         TurningPoints(1.0, 0.0)
+
+
+def test_root_on_a_step_of_an_opaque_well_fails_refinement():
+    # V jumps from 1.0 to 2.0 at |x| = 5, so Brent closes on the step, where V never equals E_B
+    step = lambda x: 0.2 * np.abs(x) + 1.0 * (np.abs(x) > 5)
+    well = potential_from_callable("step", step, minimum_location=0.0)
+    with pytest.raises(SemiboundError, match=r"turning-point refinement failed at E_B = 1\.5"):
+        turning_points(BoundStateProblem(massless(), well), 1.5)
