@@ -40,13 +40,16 @@ each solved for its lowest states at about a quarter of the cost of the
 full matrix. Any other H is one block of size N.
 
 Each block is diagonalized in place by LAPACK's dsyevr for its lowest
-eigenpairs only, called directly through scipy's LAPACK extension module:
-the scipy.linalg package itself is never imported (see _lapack).
+eigenpairs only: numpy's bundled OpenBLAS through ctypes, else scipy's LAPACK
+extension module alone. The scipy.linalg package is never imported (see _lapack).
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
@@ -142,8 +145,10 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         box = auto_box(problem, config.n_states)
     else:
         box = tuple(config.box)
-        if not -np.inf < box[0] < box[1] < np.inf:
-            raise ConfigError(f"fgh.box needs finite x_min < x_max, got {list(box)}")
+        if not (-np.inf < box[0] < box[1] < np.inf
+                and math.isfinite(float(box[1]) - float(box[0]))):
+            raise ConfigError(f"fgh.box needs finite x_min < x_max with a finite width "
+                              f"x_max - x_min, got {list(box)}")
     offset = 0.0 if problem.potential.local_form is not None else GAUSS_OFFSET
     return _grid(box, config.n_points, problem.potential.minimum_location, offset)
 
@@ -262,16 +267,10 @@ def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarra
     return _block(*_kernel_and_potential(problem, grid), 0)
 
 
-def _lapack():
-    """scipy's LAPACK extension module, scipy.linalg._flapack, without the scipy.linalg package.
+def _flapack():
+    """scipy.linalg._flapack alone, not the scipy.linalg package, which reuses it if imported later.
 
-    The module already in sys.modules is returned. Otherwise only that one
-    extension is loaded from scipy/linalg/, under its full name, and
-    scipy/linalg/__init__.py is not run: the package's 85 modules cost about
-    28 MiB of peak resident memory and a quarter second per process, the
-    extension alone 2.6 MiB and under 10 ms (scipy 1.17, x86-64 Linux).
-    A later ``import scipy.linalg`` reuses the same module object. A scipy
-    without the extension raises ImportError.
+    A scipy without the extension raises ImportError.
     """
     import importlib.machinery
     import importlib.util
@@ -294,23 +293,76 @@ def _lapack():
     return module
 
 
-def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
-    """Lowest `count` eigenpairs of one block, by LAPACK's dsyevr in place on the block.
+def _numpy_openblas():
+    """numpy's ILP64 OpenBLAS, libscipy_openblas64_* in numpy.libs/ or numpy/.dylibs/, or None."""
+    root = os.path.dirname(np.__file__)
+    places = [p for p in (root + ".libs", os.path.join(root, ".dylibs")) if os.path.isdir(p)]
+    return next((os.path.join(place, name) for place in places for name in sorted(os.listdir(place))
+                 if name.startswith("libscipy_openblas64_")), None)
 
-    The call is the one scipy.linalg.eigh(B, lower=True, subset_by_index=[0, count - 1],
-    overwrite_a=True) makes, with the same workspace, so the eigenpairs carry
-    the same bits. An info != 0 from LAPACK raises EigensolverFailure.
+
+def _openblas_dsyevr(routine):
+    """dsyevr(B, count) on the ctypes function scipy_dsyevr_64_ of an ILP64 OpenBLAS."""
+    # 3 flags, 18 pointers, and the flags' 3 lengths, which gfortran passes by value
+    routine.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
+    routine.restype = None
+    i64, ref, zero = ctypes.c_int64, ctypes.byref, ctypes.c_double(0.0)
+
+    def dsyevr(B, count):
+        n, m, info, lwork, liwork = ref(i64(len(B))), i64(), i64(), i64(-1), i64(-1)
+        w, z = np.empty(len(B)), np.empty((count, len(B)))  # z: len(B) x count in Fortran order
+        isuppz, work, iwork = np.empty(2 * len(B), np.int64), np.empty(1), np.empty(1, np.int64)
+        for _ in range(2):  # LAPACK's workspace query, then the solve in place on B
+            # B is symmetric: its memory is the same matrix in the Fortran order LAPACK takes
+            routine(b"V", b"I", b"L", n, B.ctypes, n, ref(zero), ref(zero), ref(i64(1)),
+                    ref(i64(count)), ref(zero), ref(m), w.ctypes, z.ctypes, n, isuppz.ctypes,
+                    work.ctypes, ref(lwork), iwork.ctypes, ref(liwork), ref(info), 1, 1, 1)
+            if info.value != 0 or lwork.value != -1:
+                break
+            lwork.value, liwork.value = int(work[0]), int(iwork[0])
+            work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
+        return w[:m.value], z[:m.value].T, info.value
+
+    return dsyevr
+
+
+@functools.cache
+def _lapack():
+    """dsyevr(B, count) -> (w, v, info): B's lowest count eigenpairs, in place, by LAPACK.
+
+    JOBZ = 'V', RANGE = 'I', UPLO = 'L' and the workspace of LAPACK's own query, in the
+    OpenBLAS numpy bundles and has loaded; where it is missing, scipy's (_flapack).
     """
-    lapack = _lapack()
-    B = _block(K, V, parity)
-    work, iwork, info = lapack.dsyevr_lwork(len(B), lower=1)
-    if info == 0:
+    path = _numpy_openblas()
+    routine = getattr(ctypes.CDLL(path), "scipy_dsyevr_64_", None) if path else None
+    if routine is not None:
+        return _openblas_dsyevr(routine)
+    lapack = _flapack()
+
+    def dsyevr(B, count):
+        work, iwork, info = lapack.dsyevr_lwork(len(B), lower=1)
+        if info != 0:
+            return None, None, info
         # B is symmetric: its transpose is the same matrix in the Fortran order LAPACK takes
         w, v, m, _, info = lapack.dsyevr(B.T, compute_v=1, range="I", il=1, iu=count, lower=1,
                                          lwork=int(work), liwork=int(iwork), overwrite_a=1)
+        return w[:m], v[:, :m], info
+
+    return dsyevr
+
+
+def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
+    """Lowest `count` eigenpairs of one block, by LAPACK's dsyevr in place on the block (_lapack).
+
+    The call is the one scipy.linalg.eigh(B, lower=True, subset_by_index=[0, count - 1],
+    overwrite_a=True) makes, with the same workspace: the eigenpairs carry eigh's bits at
+    one BLAS thread, and at more where both OpenBLAS builds split the work alike. An
+    info != 0 from LAPACK raises EigensolverFailure.
+    """
+    w, v, info = _lapack()(_block(K, V, parity), count)
     if info != 0:
         raise EigensolverFailure(f"dense eigensolver failed: LAPACK dsyevr returned info = {info}")
-    return w[:m], v[:, :m]
+    return w, v
 
 
 def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:

@@ -553,6 +553,7 @@ MALFORMED = {
     "box-reversed": ("fgh.box", [3, -3], 0, 2, "fgh.box"),
     "box-empty": ("fgh.box", [-3, -3], 0, 2, "fgh.box"),
     "box-unbounded": ("fgh.box", [float("-inf"), 3], 0, 2, "fgh.box"),
+    "box-width-overflows": ("fgh.box", [-1.0e308, 1.0e308], 0, 2, "finite width"),
     "mass-negative": ("problem.kinetic", {"kind": "relativistic", "m": -1.0}, 3, 3,
                       "kinetic law construction failed"),
     "mass-infinite": ("problem.kinetic.m", float("inf"), 3, 3, "positive and finite"),
@@ -680,9 +681,29 @@ def test_cli_solve_without_fgh_imports_no_scipy(tmp_path, pipeline):
 
 
 @pytest.mark.parametrize("pipeline", ["fgh", "compare"])
+def test_cli_fgh_routes_load_no_scipy(tmp_path, pipeline):
+    # the FGH eigensolve calls the OpenBLAS that numpy bundles and has already loaded
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: the eigensolve uses scipy's")
+    code = ("import os, sys; from semibound.cli import main; "
+            f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "maps = '/proc/self/maps'; "
+            "maps = open(maps).read().split() if os.path.exists(maps) else []; "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "sorted({f for f in maps if 'scipy.libs' + os.sep in f}))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
+
+
+@pytest.mark.parametrize("pipeline", ["fgh", "compare"])
 def test_cli_fgh_routes_load_scipy_lapack_alone(tmp_path, pipeline):
-    # the FGH eigensolve loads scipy's LAPACK extension module, not the scipy.linalg package
-    code = ("import sys; from semibound.cli import main; "
+    # where numpy bundles no OpenBLAS, the FGH eigensolve loads scipy's LAPACK extension
+    # module, not the scipy.linalg package
+    code = ("import sys; import semibound.fgh; from semibound.cli import main; "
+            "semibound.fgh._numpy_openblas = lambda: None; "
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

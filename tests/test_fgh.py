@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -247,19 +246,80 @@ def test_lowest_is_scipy_eigh_bit_for_bit(fixture, request):
         assert vectors.tobytes() == reference[1].tobytes()
 
 
+@pytest.fixture
+def lapack_routes(monkeypatch):
+    """fgh._lapack's dsyevr on numpy's bundled OpenBLAS, then on scipy's LAPACK (locator hidden)."""
+    fgh = semibound.fgh
+    if fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
+    fgh._lapack.cache_clear()
+    numpy_route = fgh._lapack()
+    monkeypatch.setattr(fgh, "_numpy_openblas", lambda: None)
+    fgh._lapack.cache_clear()
+    yield numpy_route, fgh._lapack()
+    fgh._lapack.cache_clear()  # the next solve finds the route again, with the locator restored
+
+
+def test_numpy_and_scipy_routes_are_the_same_bits(benchmark_a, benchmark_b, lapack_routes):
+    """Both parity blocks and the unsplit H of benchmarks A and B at N = 513."""
+    numpy_route, scipy_route = lapack_routes
+    assert numpy_route.__code__ is not scipy_route.__code__
+    for prob in (benchmark_a, benchmark_b):
+        grid = resolve_grid(prob, FghConfig(n_points=513, n_states=16))
+        K, V = _kernel_and_potential(prob, grid)
+        M = len(grid) // 2
+        for parity, diagonal, count in ((1, V[M:], 9), (-1, V[M + 1:], 9), (0, V, 16)):
+            w, v, info = numpy_route(_block(K, diagonal, parity), count)
+            w_ref, v_ref, info_ref = scipy_route(_block(K, diagonal, parity), count)
+            assert info == info_ref == 0
+            assert w.tobytes() == w_ref.tobytes()
+            assert v.tobytes() == v_ref.tobytes()
+
+
+def test_numpy_and_scipy_routes_are_the_same_bits_on_the_fine_grid(tmp_path):
+    """Benchmark B's two blocks at N = 2049, 33 states each, as fgh_fine solves them.
+
+    Run at 1 BLAS thread: above a size OpenBLAS splits its kernels over
+    threads, and the bits then follow the thread count (either route alone
+    gives other bits at 2 threads than at 1), so two OpenBLAS builds agree bit
+    for bit only at a fixed split.
+    """
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
+    code = ("from semibound import BoundStateProblem, FghConfig, fgh, "
+            "massless, linear; prob = BoundStateProblem(massless(), linear(0.2)); "
+            "grid = fgh.resolve_grid(prob, FghConfig(n_points=2049, n_states=64)); "
+            "K, V = fgh._kernel_and_potential(prob, grid); M = len(grid) // 2; "
+            "blocks = ((1, V[M:]), (-1, V[M + 1:])); "
+            "first = [fgh._lapack()(fgh._block(K, d, p), 33) for p, d in blocks]; "
+            "fgh._numpy_openblas = lambda: None; fgh._lapack.cache_clear(); "
+            "second = [fgh._lapack()(fgh._block(K, d, p), 33) for p, d in blocks]; "
+            "print(*[a[2] == b[2] == 0 and a[0].tobytes() == b[0].tobytes() "
+            "and a[1].tobytes() == b[1].tobytes() for a, b in zip(first, second)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"] * 2
+
+
 def test_lapack_alone_then_scipy_linalg_is_the_same_solve(tmp_path):
-    """A solve loads scipy's LAPACK extension alone; importing scipy.linalg later reuses it."""
+    """On the scipy route (numpy's OpenBLAS hidden) a solve loads scipy's LAPACK extension alone.
+
+    Importing scipy.linalg later reuses that module, and a second solve gives the same bits.
+    """
     code = ("import sys; import numpy as np; from semibound import FghConfig, solve, fgh; "
             "from semibound import BoundStateProblem, relativistic, linear; "
             "prob = BoundStateProblem(relativistic(0.2), linear(0.2)); "
-            "cfg = FghConfig(n_points=257, n_states=8); "
+            "cfg = FghConfig(n_points=257, n_states=8); fgh._numpy_openblas = lambda: None; "
             "first = solve(prob, cfg); lapack = sys.modules['scipy.linalg._flapack']; "
             "assert 'scipy.linalg' not in sys.modules; "
             "import scipy.linalg; second = solve(prob, cfg); "
             "same = all(np.array_equal(a.wavefunction, b.wavefunction) "
             "for a, b in zip(first.states, second.states)); "
             "print(np.array_equal(first.energies, second.energies), same, "
-            "scipy.linalg.lapack._flapack is lapack, fgh._lapack() is lapack)")
+            "scipy.linalg.lapack._flapack is lapack, fgh._flapack() is lapack)")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
@@ -373,10 +433,7 @@ def test_kink_correction_overflow_is_an_eigensolver_failure():
 
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
     # a LAPACK whose dsyevr reports info = 3 > 0: it did not converge
-    broken = SimpleNamespace(
-        dsyevr_lwork=lambda n, lower: (26.0 * n, 10 * n, 0),
-        dsyevr=lambda a, **kwargs: (np.zeros(len(a)), np.zeros_like(a), 0, None, 3))
-    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: broken)
+    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: lambda B, count: (None, None, 3))
     with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
         solve(benchmark_a, FghConfig(n_points=65, n_states=4))
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
