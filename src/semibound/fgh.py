@@ -42,6 +42,9 @@ full matrix. Any other H is one block of size N.
 Each block is diagonalized in place by LAPACK's dsyevr for its lowest
 eigenpairs only: numpy's bundled OpenBLAS through ctypes, else scipy's LAPACK
 extension module alone. The scipy.linalg package is never imported (see _lapack).
+Both parity blocks share one (M+1) x (M+1) array, the odd block in the strict
+triangle the even one leaves free, and on numpy's OpenBLAS at one BLAS thread
+with two CPUs or more the two are solved at the same time (see _both_lowest).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 from typing import Tuple, Union
 
@@ -163,7 +167,9 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     N = n_points
     M = (N - 1) // 2
     p = 2.0 * np.pi * problem.hbar * np.arange(M + 1) / (N * dx)
-    T = np.asarray(problem.kinetic.eval(p), dtype=float)
+    # a T that overflows at the grid's momenta (a very narrow box) is refused just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = np.asarray(problem.kinetic.eval(p), dtype=float)
     if not np.isfinite(T).all():
         raise EigensolverFailure(f"the kinetic kernel needs a finite T(p): T is not finite "
                                  f"at grid p = {p[~np.isfinite(T)][0]:.6g}")
@@ -262,6 +268,22 @@ def _block(K: np.ndarray, V: np.ndarray, parity: int) -> np.ndarray:
     return B
 
 
+def _parity_blocks(K: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Both parity blocks of a split H (N = len(V) = 2M + 1) in one (M+1) x (M+1) array Y.
+
+    The even block is Y's upper triangle, as _block(K, V[M:], 1) fills it.
+    The odd block _block(K, V[M+1:], -1) fills the strict lower triangle, its
+    (i, j) entry, i >= j, at Y[i + 1, j], one row at a time from views of K,
+    so no temporary the size of a block is made.
+    """
+    M = len(V) // 2
+    Y = _block(K, V[M:], 1)
+    for i in range(M):
+        np.subtract(K[i::-1], K[i + 2:2 * i + 3], out=Y[i + 1, :i + 1])
+    Y.flat[M + 1::M + 2] += V[M + 1:]
+    return Y
+
+
 def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarray:
     """Dense real symmetric N x N Hamiltonian on a grid from resolve_grid, kink-corrected."""
     return _block(*_kernel_and_potential(problem, grid), 0)
@@ -274,7 +296,6 @@ def _flapack():
     """
     import importlib.machinery
     import importlib.util
-    import os
     import sys
 
     name = "scipy.linalg._flapack"
@@ -302,21 +323,22 @@ def _numpy_openblas():
 
 
 def _openblas_dsyevr(routine):
-    """dsyevr(B, count) on the ctypes function scipy_dsyevr_64_ of an ILP64 OpenBLAS."""
+    """dsyevr(A, count, lower) on the ctypes function scipy_dsyevr_64_ of an ILP64 OpenBLAS."""
     # 3 flags, 18 pointers, and the flags' 3 lengths, which gfortran passes by value
     routine.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 3
     routine.restype = None
     i64, ref, zero = ctypes.c_int64, ctypes.byref, ctypes.c_double(0.0)
 
-    def dsyevr(B, count):
-        n, m, info, lwork, liwork = ref(i64(len(B))), i64(), i64(), i64(-1), i64(-1)
-        w, z = np.empty(len(B)), np.empty((count, len(B)))  # z: len(B) x count in Fortran order
-        isuppz, work, iwork = np.empty(2 * len(B), np.int64), np.empty(1), np.empty(1, np.int64)
-        for _ in range(2):  # LAPACK's workspace query, then the solve in place on B
-            # B is symmetric: its memory is the same matrix in the Fortran order LAPACK takes
-            routine(b"V", b"I", b"L", n, B.ctypes, n, ref(zero), ref(zero), ref(i64(1)),
-                    ref(i64(count)), ref(zero), ref(m), w.ctypes, z.ctypes, n, isuppz.ctypes,
-                    work.ctypes, ref(lwork), iwork.ctypes, ref(liwork), ref(info), 1, 1, 1)
+    def dsyevr(A, count, lower):
+        n, lda = ref(i64(len(A))), ref(i64(A.strides[1] // A.itemsize))
+        m, info, lwork, liwork = i64(), i64(), i64(-1), i64(-1)
+        w, z = np.empty(len(A)), np.empty((count, len(A)))  # z: len(A) x count in Fortran order
+        isuppz, work, iwork = np.empty(2 * len(A), np.int64), np.empty(1), np.empty(1, np.int64)
+        for _ in range(2):  # LAPACK's workspace query, then the solve in place on A
+            routine(b"V", b"I", b"L" if lower else b"U", n, A.ctypes, lda, ref(zero), ref(zero),
+                    ref(i64(1)), ref(i64(count)), ref(zero), ref(m), w.ctypes, z.ctypes, n,
+                    isuppz.ctypes, work.ctypes, ref(lwork), iwork.ctypes, ref(liwork), ref(info),
+                    1, 1, 1)
             if info.value != 0 or lwork.value != -1:
                 break
             lwork.value, liwork.value = int(work[0]), int(iwork[0])
@@ -328,41 +350,100 @@ def _openblas_dsyevr(routine):
 
 @functools.cache
 def _lapack():
-    """dsyevr(B, count) -> (w, v, info): B's lowest count eigenpairs, in place, by LAPACK.
+    """(dsyevr, blas_threads): LAPACK's dsyevr, and the BLAS thread count where the call frees the GIL.
 
-    JOBZ = 'V', RANGE = 'I', UPLO = 'L' and the workspace of LAPACK's own query, in the
-    OpenBLAS numpy bundles and has loaded; where it is missing, scipy's (_flapack).
+    dsyevr(A, count, lower) -> (w, v, info) finds A's lowest count eigenpairs in
+    place, reading its lower (UPLO = 'L') or upper ('U') triangle. A is the
+    matrix as LAPACK reads it: a Fortran-ordered view, unit stride down a
+    column, whose column stride is the leading dimension. JOBZ = 'V', RANGE = 'I'
+    and the workspace of LAPACK's own query. The routine is the one in the
+    OpenBLAS numpy bundles and has loaded, called through ctypes, which frees
+    the GIL; blas_threads() reads that library's thread count, or is None where
+    it has no such function. Where numpy bundles none, dsyevr is scipy's
+    (_flapack), whose call holds the GIL, and blas_threads is None.
     """
     path = _numpy_openblas()
-    routine = getattr(ctypes.CDLL(path), "scipy_dsyevr_64_", None) if path else None
+    library = ctypes.CDLL(path) if path else None
+    routine = getattr(library, "scipy_dsyevr_64_", None)
     if routine is not None:
-        return _openblas_dsyevr(routine)
+        return (_openblas_dsyevr(routine),
+                getattr(library, "scipy_openblas_get_num_threads64_", None))
     lapack = _flapack()
 
-    def dsyevr(B, count):
-        work, iwork, info = lapack.dsyevr_lwork(len(B), lower=1)
+    def dsyevr(A, count, lower):
+        work, iwork, info = lapack.dsyevr_lwork(len(A), lower=int(lower))
         if info != 0:
             return None, None, info
-        # B is symmetric: its transpose is the same matrix in the Fortran order LAPACK takes
-        w, v, m, _, info = lapack.dsyevr(B.T, compute_v=1, range="I", il=1, iu=count, lower=1,
-                                         lwork=int(work), liwork=int(iwork), overwrite_a=1)
+        # f2py solves a Fortran-contiguous A in place, and a contiguous copy of any other view
+        w, v, m, _, info = lapack.dsyevr(A, compute_v=1, range="I", il=1, iu=count,
+                                         lower=int(lower), lwork=int(work), liwork=int(iwork),
+                                         overwrite_a=1)
         return w[:m], v[:, :m], info
 
-    return dsyevr
+    return dsyevr, None
 
 
-def _lowest(K: np.ndarray, V: np.ndarray, parity: int, count: int):
-    """Lowest `count` eigenpairs of one block, by LAPACK's dsyevr in place on the block (_lapack).
+def _lowest(B: np.ndarray, parity: int, count: int):
+    """Lowest `count` eigenpairs of one block of H held in B, by LAPACK's dsyevr in place (_lapack).
 
-    The call is the one scipy.linalg.eigh(B, lower=True, subset_by_index=[0, count - 1],
-    overwrite_a=True) makes, with the same workspace: the eigenpairs carry eigh's bits at
-    one BLAS thread, and at more where both OpenBLAS builds split the work alike. An
-    info != 0 from LAPACK raises EigensolverFailure.
+    Parity 0 or +1: the block in B's upper triangle (all of a _block, or the
+    even block of _parity_blocks), read as the lower triangle of B.T. Parity -1:
+    the odd block of _parity_blocks, read as the upper triangle of B[1:, :-1].T,
+    one column into B.T with leading dimension M + 1. The two calls on one
+    _parity_blocks array touch disjoint triangles. The call is the one
+    scipy.linalg.eigh(block, lower=parity >= 0, subset_by_index=[0, count - 1],
+    overwrite_a=True) makes, with the same workspace: the eigenpairs carry eigh's
+    bits at one BLAS thread, and at more where both OpenBLAS builds split the
+    work alike. An info != 0 from LAPACK raises EigensolverFailure.
     """
-    w, v, info = _lapack()(_block(K, V, parity), count)
+    w, v, info = _lapack()[0](B[1:, :-1].T if parity < 0 else B.T, count, parity >= 0)
     if info != 0:
         raise EigensolverFailure(f"dense eigensolver failed: LAPACK dsyevr returned info = {info}")
     return w, v
+
+
+def _at_once(blas_threads) -> bool:
+    """Whether the two parity blocks are solved at the same time, in two threads.
+
+    Only where dsyevr frees the GIL (blas_threads is not None), at one BLAS
+    thread, and with two CPUs or more for this process. At more BLAS threads
+    two solves at once were slower than in turn, and their bits would follow
+    the thread count.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return blas_threads is not None and blas_threads() == 1 and cpus >= 2
+
+
+def _both_lowest(Y: np.ndarray, counts: dict) -> dict:
+    """{+1: even pairs, -1: odd pairs}: the lowest counts[p] eigenpairs of each block packed in Y.
+
+    Where _at_once allows, a worker thread solves the odd block while the
+    caller solves the even one; both calls give the bits they give in turn.
+    The worker calls private functions only, so a tracer that wraps the
+    public ones sees one thread. Any error in it, an info != 0 included, is
+    raised here as EigensolverFailure once both solves have ended.
+    """
+    if not _at_once(_lapack()[1]):  # also resolves _lapack before any worker starts
+        return {p: _lowest(Y, p, count) for p, count in counts.items()}
+    odd = []
+
+    def solve_odd():
+        try:
+            odd.append(_lowest(Y, -1, counts[-1]))
+        except Exception as exc:  # raised in the caller, not left to threading.excepthook
+            odd.append(exc)
+
+    worker = threading.Thread(target=solve_odd)
+    worker.start()
+    try:
+        even = _lowest(Y, 1, counts[1])
+    finally:
+        worker.join()
+    if isinstance(odd[0], EigensolverFailure):
+        raise odd[0]
+    if isinstance(odd[0], Exception):
+        raise EigensolverFailure(f"dense eigensolver failed on the odd block: {odd[0]!r}") from odd[0]
+    return {1: even, -1: odd[0]}
 
 
 def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
@@ -384,31 +465,34 @@ def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
     """Lowest n_states eigenvalues of H on grid, ascending, and their unit eigenvectors as columns.
 
     An H whose diagonal is mirror-equal about the centre point is solved as
-    its even and odd blocks, one after the other, each first for
+    its even and odd blocks, both held in one array (_parity_blocks) and
+    solved at the same time where _at_once allows, each first for
     (n_states + 1) // 2 + 1 states. A block all of whose states land among
-    the lowest n_states of the merge may hold more below them, so it is
-    solved again for n_states: the merge is then that of the full matrix,
-    whatever the order of the parities. Any other H is one block.
+    the lowest n_states of the merge may hold more below them, so the array
+    is built again and that block solved again for n_states: the merge is
+    then that of the full matrix, whatever the order of the parities. Any
+    other H is one block.
     """
     K, V = _kernel_and_potential(problem, grid)
     M = len(grid) // 2
     if not np.array_equal(V[M + 1:], V[M - 1::-1]):
-        return _lowest(K, V, 0, n_states)
-    blocks = {1: V[M:], -1: V[M + 1:]}
-    found = {p: _lowest(K, d, p, min((n_states + 1) // 2 + 1, len(d))) for p, d in blocks.items()}
-    energies = np.concatenate([found[p][0] for p in blocks])
-    owner = np.repeat(list(blocks), [len(found[p][0]) for p in blocks])
+        return _lowest(_block(K, V, 0), 0, n_states)
+    sizes = {1: M + 1, -1: M}
+    found = _both_lowest(_parity_blocks(K, V),
+                         {p: min((n_states + 1) // 2 + 1, n) for p, n in sizes.items()})
+    energies = np.concatenate([found[p][0] for p in sizes])
+    owner = np.repeat(list(sizes), [len(found[p][0]) for p in sizes])
     owner = owner[np.argsort(energies, kind="stable")[:n_states]]
     # a block solved in full needs no second solve; otherwise the first solves hold
     # n_states + 2 states or more, so at most one block can have every state among
     # the lowest n_states; the other has left one of its states out, and its
     # unsolved states lie above that one
-    for p, d in blocks.items():
-        if len(found[p][0]) == np.count_nonzero(owner == p) < min(n_states, len(d)):
-            found[p] = _lowest(K, d, p, min(n_states, len(d)))
-    energies = np.concatenate([found[p][0] for p in blocks])
+    for p, n in sizes.items():
+        if len(found[p][0]) == np.count_nonzero(owner == p) < min(n_states, n):
+            found[p] = _lowest(_parity_blocks(K, V), p, min(n_states, n))
+    energies = np.concatenate([found[p][0] for p in sizes])
     order = np.argsort(energies, kind="stable")[:n_states]
-    vectors = np.hstack([_unfold(found[p][1], p) for p in blocks])
+    vectors = np.hstack([_unfold(found[p][1], p) for p in sizes])
     return energies[order], vectors[:, order]
 
 
@@ -416,8 +500,8 @@ def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
     Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
-    by LAPACK's dsyevr in place on each block of H, and a split well holds one block
-    at a time (see _eigenpairs). A non-finite H raises EigensolverFailure
+    by LAPACK's dsyevr in place on each block of H, and a split well holds both
+    blocks in one array the size of the even block (see _eigenpairs). A non-finite H raises EigensolverFailure
     naming the kinetic kernel or the first grid x where V is not finite.
     Eigenvectors are scaled and signed as one table: divided by sqrt(dx), so
     dx * sum(psi_i^2) = 1, and negated where their first component above 1e-6

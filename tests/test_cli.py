@@ -450,6 +450,22 @@ def test_density_metric_on_a_grid_too_coarse_exits_2(tmp_path):
     assert "dx = 12.1212" in result.stderr
 
 
+def test_kinetic_law_overflowing_on_a_narrow_box_exits_1_with_the_typed_line_only(tmp_path):
+    # grid momenta near 3e300 overflow p ** 2 in the relativistic T; run with RuntimeWarnings
+    # as errors, in a subprocess, so an untyped warning would end the run first
+    path = write_config(tmp_path, BENCH_A.read_text(encoding="utf-8").split("states:")[0]
+                        + "states: [0]\nfgh: {n_points: 65, n_states: 4, "
+                          "box: [-1.0e-300, 1.0e-300]}\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "semibound.cli",
+                             "solve", "--config", str(path), "--pipeline", "fgh",
+                             "--out", str(tmp_path / "x")],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["EigensolverFailure: the kinetic kernel needs a finite "
+                                          "T(p): T is not finite at grid p = 3.14159e+300"]
+
+
 @pytest.mark.parametrize("box", ["[1, 30]", "[-2, 2]"], ids=["one-sided", "narrow"])
 def test_compare_box_cutting_the_classical_region_exits_2(tmp_path, capsys, box):
     # n = 0 of benchmark A reaches [-2.193, 2.193]; the fgh route still solves on such a box

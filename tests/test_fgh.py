@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import (GAUSS_OFFSET, _block, _eigenpairs, _kernel_and_potential, _lowest,
-                           _zeta_negative, kinetic_kernel, resolve_grid)
+from semibound.fgh import (GAUSS_OFFSET, _at_once, _block, _eigenpairs, _kernel_and_potential,
+                           _lowest, _parity_blocks, _zeta_negative, kinetic_kernel, resolve_grid)
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
@@ -233,17 +234,31 @@ def test_parity_blocks_match_the_full_matrix(fixture, n_points, n_states, reques
 
 @pytest.mark.parametrize("fixture", ["benchmark_a", "benchmark_b"])
 def test_lowest_is_scipy_eigh_bit_for_bit(fixture, request):
-    """The direct dsyevr call gives eigh's bits on both parity blocks and on the unsplit H."""
+    """The direct dsyevr call gives eigh's bits on both parity blocks and on the unsplit H.
+
+    The odd block is read as its upper triangle, so its reference is eigh's lower=False.
+    """
     prob = request.getfixturevalue(fixture)
     grid = resolve_grid(prob, FghConfig(n_points=513, n_states=16))
     K, V = _kernel_and_potential(prob, grid)
     M = len(grid) // 2
     for parity, diagonal, count in ((1, V[M:], 9), (-1, V[M + 1:], 9), (0, V, 16)):
-        energies, vectors = _lowest(K, diagonal, parity, count)
-        reference = scipy.linalg.eigh(_block(K, diagonal, parity), lower=True,
+        energies, vectors = _lowest(_held(K, V, parity), parity, count)
+        reference = scipy.linalg.eigh(_block(K, diagonal, parity), lower=parity >= 0,
                                       subset_by_index=[0, count - 1])
         assert energies.tobytes() == reference[0].tobytes()
         assert vectors.tobytes() == reference[1].tobytes()
+
+
+def _held(K, V, parity):
+    """The array _eigenpairs solves a block in: both parity blocks in one, or the unsplit H."""
+    return _block(K, V, 0) if parity == 0 else _parity_blocks(K, V)
+
+
+def _view(K, V, parity):
+    """The matrix view _lowest hands dsyevr for one block, with lower = parity >= 0."""
+    held = _held(K, V, parity)
+    return held[1:, :-1].T if parity < 0 else held.T
 
 
 @pytest.fixture
@@ -253,10 +268,10 @@ def lapack_routes(monkeypatch):
     if fgh._numpy_openblas() is None:
         pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
     fgh._lapack.cache_clear()
-    numpy_route = fgh._lapack()
+    numpy_route = fgh._lapack()[0]
     monkeypatch.setattr(fgh, "_numpy_openblas", lambda: None)
     fgh._lapack.cache_clear()
-    yield numpy_route, fgh._lapack()
+    yield numpy_route, fgh._lapack()[0]
     fgh._lapack.cache_clear()  # the next solve finds the route again, with the locator restored
 
 
@@ -268,9 +283,9 @@ def test_numpy_and_scipy_routes_are_the_same_bits(benchmark_a, benchmark_b, lapa
         grid = resolve_grid(prob, FghConfig(n_points=513, n_states=16))
         K, V = _kernel_and_potential(prob, grid)
         M = len(grid) // 2
-        for parity, diagonal, count in ((1, V[M:], 9), (-1, V[M + 1:], 9), (0, V, 16)):
-            w, v, info = numpy_route(_block(K, diagonal, parity), count)
-            w_ref, v_ref, info_ref = scipy_route(_block(K, diagonal, parity), count)
+        for parity, count in ((1, 9), (-1, 9), (0, 16)):
+            w, v, info = numpy_route(_view(K, V, parity), count, parity >= 0)
+            w_ref, v_ref, info_ref = scipy_route(_view(K, V, parity), count, parity >= 0)
             assert info == info_ref == 0
             assert w.tobytes() == w_ref.tobytes()
             assert v.tobytes() == v_ref.tobytes()
@@ -289,11 +304,13 @@ def test_numpy_and_scipy_routes_are_the_same_bits_on_the_fine_grid(tmp_path):
     code = ("from semibound import BoundStateProblem, FghConfig, fgh, "
             "massless, linear; prob = BoundStateProblem(massless(), linear(0.2)); "
             "grid = fgh.resolve_grid(prob, FghConfig(n_points=2049, n_states=64)); "
-            "K, V = fgh._kernel_and_potential(prob, grid); M = len(grid) // 2; "
-            "blocks = ((1, V[M:]), (-1, V[M + 1:])); "
-            "first = [fgh._lapack()(fgh._block(K, d, p), 33) for p, d in blocks]; "
+            "K, V = fgh._kernel_and_potential(prob, grid); "
+            "views = lambda Y: ((Y.T, True), (Y[1:, :-1].T, False)); "
+            "first = [fgh._lapack()[0](A, 33, lower) "
+            "for A, lower in views(fgh._parity_blocks(K, V))]; "
             "fgh._numpy_openblas = lambda: None; fgh._lapack.cache_clear(); "
-            "second = [fgh._lapack()(fgh._block(K, d, p), 33) for p, d in blocks]; "
+            "second = [fgh._lapack()[0](A, 33, lower) "
+            "for A, lower in views(fgh._parity_blocks(K, V))]; "
             "print(*[a[2] == b[2] == 0 and a[0].tobytes() == b[0].tobytes() "
             "and a[1].tobytes() == b[1].tobytes() for a, b in zip(first, second)])")
     src = Path(__file__).resolve().parents[1] / "src"
@@ -338,9 +355,9 @@ def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
     calls = []
     lowest = semibound.fgh._lowest
 
-    def counted(K, V, parity, count):
+    def counted(B, parity, count):
         calls.append(parity)
-        return lowest(K, V, parity, count)
+        return lowest(B, parity, count)
 
     monkeypatch.setattr(semibound.fgh, "_lowest", counted)
     solved_again = 0
@@ -362,6 +379,86 @@ def test_merge_solves_again_a_block_that_runs_out(monkeypatch):
             full = np.linalg.eigvalsh(build_hamiltonian(prob, resolve_grid(prob, cfg)))
             assert np.allclose(energies, full[:n_states], rtol=0, atol=1e-13)
     assert solved_again > 0
+
+
+@pytest.mark.parametrize("n_points", [9, 513])
+def test_parity_blocks_hold_both_blocks_in_one_array(benchmark_a, n_points):
+    """The even block in the upper triangle, the odd one below it, each equal to its own block."""
+    grid = resolve_grid(benchmark_a, FghConfig(n_points=n_points, n_states=4))
+    K, V = _kernel_and_potential(benchmark_a, grid)
+    M = n_points // 2
+    Y = _parity_blocks(K, V)
+    assert Y.shape == (M + 1, M + 1)
+    upper, lower = np.triu_indices(M + 1), np.tril_indices(M)
+    assert Y[upper].tobytes() == _block(K, V[M:], 1)[upper].tobytes()
+    assert Y[1:, :-1][lower].tobytes() == _block(K, V[M + 1:], -1)[lower].tobytes()
+
+
+def test_blocks_at_once_and_in_turn_are_the_same_bits(tmp_path):
+    """Benchmark B at N = 2049 with 64 states, at 1 BLAS thread, as fgh_fine solves it."""
+    code = ("from semibound import BoundStateProblem, FghConfig, fgh, massless, linear; "
+            "prob = BoundStateProblem(massless(), linear(0.2)); "
+            "grid = fgh.resolve_grid(prob, FghConfig(n_points=2049, n_states=64)); "
+            "fgh._at_once = lambda blas_threads: True; at_once = fgh._eigenpairs(prob, grid, 64); "
+            "fgh._at_once = lambda blas_threads: False; in_turn = fgh._eigenpairs(prob, grid, 64); "
+            "print(*[a.tobytes() == b.tobytes() for a, b in zip(at_once, in_turn)])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"] * 2
+
+
+def test_odd_block_failure_in_the_worker_is_typed_and_exits_1(benchmark_a, monkeypatch,
+                                                               tmp_path, capsys):
+    # info = 3 from the UPLO = 'U' call only, which runs in the worker thread
+    dsyevr, in_worker, escaped = semibound.fgh._lapack()[0], [], []
+
+    def fails_on_upper(A, count, lower):
+        if lower:
+            return dsyevr(A, count, lower)
+        in_worker.append(threading.current_thread() is not threading.main_thread())
+        return None, None, 3
+
+    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: (fails_on_upper, lambda: 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
+        solve(benchmark_a, FghConfig(n_points=65, n_states=4))
+    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
+    assert main(["solve", "--config", str(config), "--pipeline", "fgh",
+                 "--out", str(tmp_path / "x")]) == 1
+    assert "dense eigensolver failed" in capsys.readouterr().err
+    assert in_worker == [True, True]
+    assert escaped == []
+
+
+def test_blocks_run_at_once_only_at_one_blas_thread_on_two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _at_once(lambda: 1)
+    assert not _at_once(lambda: 2)
+    assert not _at_once(None)  # dsyevr holds the GIL: scipy's route
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not _at_once(lambda: 1)
+
+
+def test_blas_threads_are_read_on_numpys_route_only(tmp_path):
+    """Numpy's OpenBLAS reports its thread count, which gates the solve; scipy's route has none."""
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
+    code = ("import os; from semibound import fgh; "
+            "os.sched_getaffinity = lambda pid: {0, 1}; threads = fgh._lapack()[1]; "
+            "fgh._numpy_openblas = lambda: None; fgh._lapack.cache_clear(); "
+            "print(threads(), fgh._at_once(threads), fgh._lapack()[1])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    seen = []
+    for count in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": count,
+               "OMP_NUM_THREADS": count}
+        seen.append(subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                   capture_output=True, text=True, check=True).stdout.split())
+    assert seen == [["1", "True", "None"], ["2", "False", "None"]]
 
 
 def test_zeta_at_negative_arguments():
@@ -433,7 +530,8 @@ def test_kink_correction_overflow_is_an_eigensolver_failure():
 
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
     # a LAPACK whose dsyevr reports info = 3 > 0: it did not converge
-    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: lambda B, count: (None, None, 3))
+    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: (lambda A, count, lower: (None, None, 3),
+                                                           None))
     with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
         solve(benchmark_a, FghConfig(n_points=65, n_states=4))
     config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
@@ -497,6 +595,24 @@ def test_solve_holds_one_hamiltonian(benchmark_b):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * (N // 2 + 1) ** 2
+
+
+def test_solving_both_blocks_at_once_holds_one_block(benchmark_b, monkeypatch):
+    """Both parity blocks solved at the same time share one (M+1) x (M+1) array.
+
+    The peak stays under 1.5 blocks; two arrays, one per block, would be 2.0 or more.
+    """
+    monkeypatch.setattr(semibound.fgh, "_at_once", lambda blas_threads: True)
+    N = 1025
+    cfg = FghConfig(n_points=N, n_states=32)
+    solve(benchmark_b, cfg)
+    tracemalloc.start()
+    try:
+        solve(benchmark_b, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (N // 2 + 1) ** 2
 
 
 def test_in_place_solve_is_repeatable(benchmark_a):

@@ -5,8 +5,10 @@
 `git archive REV` is extracted into a temporary directory. For the working
 tree and for that copy, every pipeline runs on each benchmark config (those of
 the working tree, so only the program differs) in a subprocess with
-PYTHONPATH=<tree>/src and PYTHONDONTWRITEBYTECODE=1, writing into the same
-temporary directory. The two output trees are then compared file by file.
+PYTHONPATH=<tree>/src, PYTHONDONTWRITEBYTECODE=1 and BLAS pinned to one thread
+(OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), writing into the same temporary
+directory. At one thread the eigensolve's bits do not follow the host's CPU
+count, and they are those of perfbench, which pins the same. The two output trees are then compared file by file.
 For each CSV whose bytes differ, the worst |new - old| / max|old| of every
 column both headers share is printed, and each column one header lacks is
 named with the side that has it. Exit status 0 only when both trees hold the
@@ -35,8 +37,9 @@ PIPELINES = ("classical", "wkbj", "fgh", "compare")
 
 
 def run_pipelines(tree: Path, out_root: Path) -> None:
-    """Every pipeline on every benchmark config with the package under tree/src."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    """Every pipeline on every benchmark config with the package under tree/src, at 1 BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     for cfg in CONFIGS:
         for pipeline in PIPELINES:
             subprocess.run(
