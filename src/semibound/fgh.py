@@ -39,9 +39,10 @@ counting grid points out from the centre:
 each solved for its lowest states at about a quarter of the cost of the
 full matrix. Any other H is one block of size N.
 
-Each block is diagonalized in place by LAPACK's dsyevr for its lowest
-eigenpairs only: numpy's bundled OpenBLAS through ctypes, else scipy's LAPACK
-extension module alone. The scipy.linalg package is never imported (see _lapack).
+Each block is diagonalized in place by LAPACK's dsyevr, in the OpenBLAS numpy
+bundles, through ctypes, for its lowest eigenpairs only. Where numpy bundles
+none, np.linalg.eigh finds every eigenpair of a copy and the lowest are kept
+(see _lapack).
 Both parity blocks share one (M+1) x (M+1) array, the odd block in the strict
 triangle the even one leaves free, and on numpy's OpenBLAS at one BLAS thread
 with two CPUs or more the two are solved at the same time (see _both_lowest).
@@ -289,31 +290,6 @@ def build_hamiltonian(problem: BoundStateProblem, grid: np.ndarray) -> np.ndarra
     return _block(*_kernel_and_potential(problem, grid), 0)
 
 
-def _flapack():
-    """scipy.linalg._flapack alone, not the scipy.linalg package, which reuses it if imported later.
-
-    A scipy without the extension raises ImportError.
-    """
-    import importlib.machinery
-    import importlib.util
-    import sys
-
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    roots = scipy.submodule_search_locations if scipy else []
-    places = [os.path.join(root, "linalg") for root in roots]
-    spec = importlib.machinery.PathFinder.find_spec(name, places)
-    if spec is None:
-        raise ImportError(f"the FGH eigensolve needs scipy's LAPACK extension {name}, "
-                          f"which was not found")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 def _numpy_openblas():
     """numpy's ILP64 OpenBLAS, libscipy_openblas64_* in numpy.libs/ or numpy/.dylibs/, or None."""
     root = os.path.dirname(np.__file__)
@@ -348,65 +324,62 @@ def _openblas_dsyevr(routine):
     return dsyevr
 
 
+def _eigh_dsyevr(A, count, lower):
+    """dsyevr(A, count, lower) on np.linalg.eigh, which finds every pair; a LinAlgError is info = 1."""
+    try:
+        w, v = np.linalg.eigh(A, UPLO="L" if lower else "U")
+    except np.linalg.LinAlgError:
+        return None, None, 1
+    return w[:count], v[:, :count], 0
+
+
 @functools.cache
 def _lapack():
     """(dsyevr, blas_threads): LAPACK's dsyevr, and the BLAS thread count where the call frees the GIL.
 
-    dsyevr(A, count, lower) -> (w, v, info) finds A's lowest count eigenpairs in
-    place, reading its lower (UPLO = 'L') or upper ('U') triangle. A is the
-    matrix as LAPACK reads it: a Fortran-ordered view, unit stride down a
-    column, whose column stride is the leading dimension. JOBZ = 'V', RANGE = 'I'
-    and the workspace of LAPACK's own query. The routine is the one in the
+    dsyevr(A, count, lower) -> (w, v, info) finds A's lowest count eigenpairs,
+    reading its lower (UPLO = 'L') or upper ('U') triangle. A is the matrix as
+    LAPACK reads it: a Fortran-ordered view, unit stride down a column, whose
+    column stride is the leading dimension. The routine is the one in the
     OpenBLAS numpy bundles and has loaded, called through ctypes, which frees
-    the GIL; blas_threads() reads that library's thread count, or is None where
-    it has no such function. Where numpy bundles none, dsyevr is scipy's
-    (_flapack), whose call holds the GIL, and blas_threads is None.
+    the GIL: JOBZ = 'V', RANGE = 'I', in place on A, with the workspace of
+    LAPACK's own query; blas_threads() reads that library's thread count, or
+    is None where it has no such function. Where numpy bundles none, dsyevr is
+    _eigh_dsyevr, on a copy of A, and blas_threads is None.
     """
     path = _numpy_openblas()
     library = ctypes.CDLL(path) if path else None
     routine = getattr(library, "scipy_dsyevr_64_", None)
-    if routine is not None:
-        return (_openblas_dsyevr(routine),
-                getattr(library, "scipy_openblas_get_num_threads64_", None))
-    lapack = _flapack()
-
-    def dsyevr(A, count, lower):
-        work, iwork, info = lapack.dsyevr_lwork(len(A), lower=int(lower))
-        if info != 0:
-            return None, None, info
-        # f2py solves a Fortran-contiguous A in place, and a contiguous copy of any other view
-        w, v, m, _, info = lapack.dsyevr(A, compute_v=1, range="I", il=1, iu=count,
-                                         lower=int(lower), lwork=int(work), liwork=int(iwork),
-                                         overwrite_a=1)
-        return w[:m], v[:, :m], info
-
-    return dsyevr, None
+    if routine is None:
+        return _eigh_dsyevr, None
+    return _openblas_dsyevr(routine), getattr(library, "scipy_openblas_get_num_threads64_", None)
 
 
 def _lowest(B: np.ndarray, parity: int, count: int):
-    """Lowest `count` eigenpairs of one block of H held in B, by LAPACK's dsyevr in place (_lapack).
+    """Lowest `count` eigenpairs of one block of H held in B, by _lapack's dsyevr.
 
     Parity 0 or +1: the block in B's upper triangle (all of a _block, or the
     even block of _parity_blocks), read as the lower triangle of B.T. Parity -1:
     the odd block of _parity_blocks, read as the upper triangle of B[1:, :-1].T,
     one column into B.T with leading dimension M + 1. The two calls on one
-    _parity_blocks array touch disjoint triangles. The call is the one
-    scipy.linalg.eigh(block, lower=parity >= 0, subset_by_index=[0, count - 1],
-    overwrite_a=True) makes, with the same workspace: the eigenpairs carry eigh's
-    bits at one BLAS thread, and at more where both OpenBLAS builds split the
-    work alike. An info != 0 from LAPACK raises EigensolverFailure.
+    _parity_blocks array touch disjoint triangles. On numpy's OpenBLAS the call
+    is the one scipy.linalg.eigh(block, lower=parity >= 0, subset_by_index=[0,
+    count - 1], overwrite_a=True) makes, with the same workspace: the eigenpairs
+    carry eigh's bits at one BLAS thread, and at more where both OpenBLAS builds
+    split the work alike. An info != 0 from LAPACK raises EigensolverFailure.
     """
     w, v, info = _lapack()[0](B[1:, :-1].T if parity < 0 else B.T, count, parity >= 0)
     if info != 0:
-        raise EigensolverFailure(f"dense eigensolver failed: LAPACK dsyevr returned info = {info}")
+        raise EigensolverFailure(f"dense eigensolver failed: LAPACK returned info = {info}")
     return w, v
 
 
 def _at_once(blas_threads) -> bool:
     """Whether the two parity blocks are solved at the same time, in two threads.
 
-    Only where dsyevr frees the GIL (blas_threads is not None), at one BLAS
-    thread, and with two CPUs or more for this process. At more BLAS threads
+    Only on numpy's OpenBLAS, whose dsyevr call frees the GIL (blas_threads is
+    not None; the eigh fallback solves its blocks in turn), at one BLAS thread,
+    and with two CPUs or more for this process. At more BLAS threads
     two solves at once were slower than in turn, and their bits would follow
     the thread count.
     """
@@ -499,10 +472,12 @@ def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
-    Only those eigenpairs are computed (resolve_grid guarantees N > n_states),
-    by LAPACK's dsyevr in place on each block of H, and a split well holds both
-    blocks in one array the size of the even block (see _eigenpairs). A non-finite H raises EigensolverFailure
-    naming the kinetic kernel or the first grid x where V is not finite.
+    Each block of H is solved in place by LAPACK's dsyevr for those eigenpairs
+    only (resolve_grid guarantees N > n_states), or for every pair by
+    np.linalg.eigh where numpy bundles no OpenBLAS (see _lapack); a split well
+    holds both blocks in one array the size of the even block (see _eigenpairs).
+    A non-finite H raises EigensolverFailure naming the kinetic kernel or the
+    first grid x where V is not finite.
     Eigenvectors are scaled and signed as one table: divided by sqrt(dx), so
     dx * sum(psi_i^2) = 1, and negated where their first component above 1e-6
     of their largest magnitude is negative; state n's wavefunction is row n.

@@ -671,7 +671,7 @@ def test_value_error_inside_solver_propagates(tmp_path, monkeypatch):
 
 
 def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
-    # the root finders and the phase are in-house: a CLI run pays only for scipy's LAPACK
+    # the root finders and the phase are in-house, and the FGH eigensolve is numpy's
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', 'compare', "
             f"'--out', {str(tmp_path / 'out')!r}]); "
@@ -685,7 +685,7 @@ def test_cli_solve_imports_no_scipy_optimize_or_interpolate(tmp_path):
 
 @pytest.mark.parametrize("pipeline", ["wkbj", "classical"])
 def test_cli_solve_without_fgh_imports_no_scipy(tmp_path, pipeline):
-    # only the FGH eigensolve imports scipy, so a route that builds no FGH grid loads none
+    # no pipeline imports scipy; these build no FGH grid, so none calls LAPACK either
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]); "
@@ -696,12 +696,16 @@ def test_cli_solve_without_fgh_imports_no_scipy(tmp_path, pipeline):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
-@pytest.mark.parametrize("pipeline", ["fgh", "compare"])
-def test_cli_fgh_routes_load_no_scipy(tmp_path, pipeline):
-    # the FGH eigensolve calls the OpenBLAS that numpy bundles and has already loaded
-    if semibound.fgh._numpy_openblas() is None:
-        pytest.skip("this numpy bundles no libscipy_openblas64_*: the eigensolve uses scipy's")
-    code = ("import os, sys; from semibound.cli import main; "
+@pytest.mark.parametrize("pipeline,hidden", [("fgh", False), ("compare", False),
+                                             ("fgh", True), ("compare", True)],
+                         ids=["fgh", "compare", "fgh-hidden", "compare-hidden"])
+def test_cli_fgh_routes_load_no_scipy(tmp_path, pipeline, hidden):
+    # the FGH eigensolve calls the OpenBLAS that numpy bundles and has already loaded, and
+    # with that library hidden it falls back to numpy's eigh: neither loads scipy
+    if semibound.fgh._numpy_openblas() is None and not hidden:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: the eigensolve uses eigh")
+    code = ("import os, sys; import semibound.fgh; from semibound.cli import main; "
+            + ("semibound.fgh._numpy_openblas = lambda: None; " if hidden else "") +
             f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
             f"'--out', {str(tmp_path / 'out')!r}]); "
             "maps = '/proc/self/maps'; "
@@ -714,23 +718,8 @@ def test_cli_fgh_routes_load_no_scipy(tmp_path, pipeline):
     assert proc.stdout.splitlines()[-1] == "0 [] []"
 
 
-@pytest.mark.parametrize("pipeline", ["fgh", "compare"])
-def test_cli_fgh_routes_load_scipy_lapack_alone(tmp_path, pipeline):
-    # where numpy bundles no OpenBLAS, the FGH eigensolve loads scipy's LAPACK extension
-    # module, not the scipy.linalg package
-    code = ("import sys; import semibound.fgh; from semibound.cli import main; "
-            "semibound.fgh._numpy_openblas = lambda: None; "
-            f"rc = main(['solve', '--config', {str(BENCH_A)!r}, '--pipeline', {pipeline!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}]); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 ['scipy.linalg._flapack']"
-
-
 def test_cli_validate_imports_no_scipy():
-    # scipy's LAPACK extension is loaded by the FGH eigensolve alone, when it runs
+    # validate checks the config and the kinetic law, and loads no scipy module
     code = ("import sys; from semibound.cli import main; "
             f"rc = main(['validate', '--config', {str(BENCH_A)!r}]); "
             "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
