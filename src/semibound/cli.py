@@ -230,8 +230,7 @@ def _states_doc(rows: list) -> dict:
 
 def _classical(problem, config: RunConfig, ns: list) -> tuple:
     rows, densities = [], []
-    for n in ns:
-        state = wkbj.quantize(problem, n)
+    for n, state in zip(ns, wkbj.quantize(problem, ns)):
         tps = state.turning_points
         tau = classical.period(problem, state.energy, tps)
         densities.append(replace(classical.classical_density(
@@ -244,8 +243,7 @@ def _classical(problem, config: RunConfig, ns: list) -> tuple:
 
 def _wkbj(problem, config: RunConfig, ns: list) -> tuple:
     rows, densities = [], []
-    for n in ns:
-        state = wkbj.quantize(problem, n)
+    for n, state in zip(ns, wkbj.quantize(problem, ns)):
         tps = state.turning_points
         grid = classical.default_grid(tps, config.grid_points)
         densities.append(wkbj.wkbj_wavefunction(problem, state, grid))

@@ -163,7 +163,7 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghC
     """
     ns = sorted(set(int(n) for n in ns))
     cfg = fgh_config.covering(ns)
-    wkbj_states = [quantize(problem, n) for n in ns]
+    wkbj_states = quantize(problem, ns)
     top = wkbj_states[-1]
     tps = top.turning_points
     if cfg.box == "auto" and top.n == cfg.n_states - 1:

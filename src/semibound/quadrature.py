@@ -5,7 +5,9 @@ diverge like 1/sqrt(x - a) at the endpoints (smooth kinetic laws). The
 substitution x = a + u^2 makes both smooth, after which composite
 Gauss-Legendre with panel doubling converges rapidly. Every integral is two
 halves cut at the well's minimum (where any kink sits), each smooth with one
-turning point. An integral not converged within the node budget raises
+turning point. `well_integrals` takes both halves of many wells through each
+of the first two panel counts in one vectorized `composite_gauss` call. An
+integral not converged within the node budget raises
 QuadratureNotConverged rather than returning its last estimate.
 `cumulative_well_integral` is the running form on the same halves: fixed
 panels between even samples, and cubic Hermite pieces between those.
@@ -14,7 +16,7 @@ panels between even samples, and cubic Hermite pieces between those.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +28,7 @@ REL_TOL = 1e-11
 MAX_NODES = 2**20
 #: Gauss-Legendre order per panel
 PANEL_ORDER = 16
-#: panels of the first (coarsest) level of adaptive_gauss
+#: panels of the first (coarsest) level of every panel doubling
 START_PANELS = 2
 #: Gauss-Legendre order per panel of cumulative_well_integral
 CUMULATIVE_ORDER = 4
@@ -38,17 +40,48 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 _CUMULATIVE_NODES, _CUMULATIVE_WEIGHTS = np.polynomial.legendre.leggauss(CUMULATIVE_ORDER)
 
 
-def composite_gauss(f: Callable, lo: float, hi: float, panels: int) -> float:
-    """Composite Gauss-Legendre with `panels` equal panels of PANEL_ORDER nodes."""
-    if hi == lo:
-        return 0.0
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # nodes for all panels in one evaluation: shape (panels, PANEL_ORDER)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(panels, PANEL_ORDER)
-    return float(np.sum(y * _WEIGHTS[None, :] * half[:, None]))
+def composite_gauss(f: Callable, lo, hi, panels: int):
+    """Composite Gauss-Legendre with `panels` equal panels of PANEL_ORDER nodes on [lo, hi].
+
+    lo and hi are floats, or arrays of one shape S with one interval each. f
+    takes the nodes, shape S + (panels * PANEL_ORDER,), and returns the
+    integrand there, or several integrands stacked on leading axes R; the
+    result has shape R + S, a float when that is ().
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    # the panel edges as np.linspace(lo, hi, panels + 1) puts them, without its overhead
+    edges = np.arange(panels + 1.0) * ((hi - lo) / panels)[..., None] + lo[..., None]
+    edges[..., -1] = hi
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    # nodes of all panels of every interval in one evaluation
+    x = mid[..., None] + half[..., None] * _NODES
+    y = np.asarray(f(x.reshape(*lo.shape, panels * PANEL_ORDER)), dtype=float)
+    y = y.reshape(*y.shape[:-1], panels, PANEL_ORDER)
+    total = (y * _WEIGHTS * half[..., None]).sum(axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
+
+
+def _agree(prev, cur):
+    """Successive estimates that are finite and agree to REL_TOL (elementwise)."""
+    return (np.isfinite(cur) & np.isfinite(prev)
+            & (np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), np.abs(prev))))
+
+
+def _converge(f: Callable, lo: float, hi: float, panels: int, prev: float, cur: float) -> float:
+    """Go on doubling from the estimates prev and cur at panels/2 and panels panels.
+
+    Returns the first estimate that agrees with the one before it; raises
+    QuadratureNotConverged when the next doubling would exceed MAX_NODES.
+    """
+    while not _agree(prev, cur):
+        if panels * 2 * PANEL_ORDER > MAX_NODES:
+            raise QuadratureNotConverged(
+                f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {MAX_NODES} nodes "
+                f"per level: last estimates {prev!r}, {cur!r}")
+        panels *= 2
+        prev, cur = cur, composite_gauss(f, lo, hi, panels)
+    return cur
 
 
 def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
@@ -59,19 +92,8 @@ def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
     """
     if hi == lo:
         return 0.0
-    panels = START_PANELS
-    prev = composite_gauss(f, lo, hi, panels)
-    while True:
-        panels *= 2
-        cur = composite_gauss(f, lo, hi, panels)
-        if (math.isfinite(cur) and math.isfinite(prev)
-                and abs(cur - prev) <= REL_TOL * max(abs(cur), abs(prev))):
-            return cur
-        if panels * 2 * PANEL_ORDER > MAX_NODES:
-            raise QuadratureNotConverged(
-                f"no agreement to {REL_TOL:g} on [{lo}, {hi}] within {MAX_NODES} nodes "
-                f"per level: last estimates {prev!r}, {cur!r}")
-        prev = cur
+    return _converge(f, lo, hi, 2 * START_PANELS, composite_gauss(f, lo, hi, START_PANELS),
+                     composite_gauss(f, lo, hi, 2 * START_PANELS))
 
 
 def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
@@ -89,46 +111,73 @@ def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
     return h
 
 
-def _require_inside(a: float, b: float, split: float) -> None:
-    if not a < split < b:
+def _require_inside(a, b, split: float) -> None:
+    """Refuse a split outside (a, b), or outside any (a[k], b[k]) when a and b are arrays."""
+    inside = (np.asarray(a) < split) & (split < np.asarray(b))
+    if not np.all(inside):
+        k = np.argmin(inside)
+        a, b = float(np.ravel(a)[k]), float(np.ravel(b)[k])
         raise ValueError(f"split {split!r} is not inside ({a!r}, {b!r})")
 
 
-def _halves(a: float, b: float, split: float, sqrt_ends: bool) -> tuple:
-    """(lo, hi, substitute) of the halves (a, split) and (split, b); a < split < b.
+#: the direction of the sqrt substitution of a well's left and right half
+_INWARD = np.array([1.0, -1.0])
 
-    substitute maps an integrand over x to the integrand on [lo, hi]: the sqrt
-    substitution at the half's turning point when sqrt_ends, else the identity.
+
+def well_integrals(f: Callable, a, b, split: float, sqrt_ends: bool = True,
+                   coarse: Optional[Callable] = None):
+    """Integrate f over each well (a[k], b[k]) as its two halves cut at split.
+
+    Every well needs a[k] < split < b[k]. f(x, k) is the integrand at the
+    nodes x, where k (broadcastable against x) is the index of each node's
+    well. sqrt_ends substitutes x = endpoint + u^2 at both endpoints. Both
+    halves of every well are integrated on START_PANELS panels, then on
+    2 * START_PANELS, in one composite_gauss call each; a half whose two
+    estimates disagree goes on doubling by itself, as in adaptive_gauss.
+    Returns one integral per well. With `coarse`, returns (integrals, coarse
+    integrals), the second of coarse(f(x, k)) on the START_PANELS rule,
+    made from the same values of f.
     """
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     _require_inside(a, b, split)
+    # interval [k, 0] is the left half of well k, [k, 1] its right half
+    ends = np.stack((a, b), axis=-1)
     if sqrt_ends:
-        return ((0.0, np.sqrt(split - a), lambda f: sqrt_substituted(f, a, b)),
-                (0.0, np.sqrt(b - split), lambda f: sqrt_substituted(f, b, a)))
-    return (a, split, lambda f: f), (split, b, lambda f: f)
+        lo, hi = np.zeros_like(ends), np.sqrt(_INWARD * (split - ends))
+    else:
+        lo = np.stack((a, np.full_like(a, split)), axis=-1)
+        hi = np.stack((np.full_like(b, split), b), axis=-1)
+
+    def integrand(end, inward, k, with_coarse: bool = False) -> Callable:
+        """u -> integrand of the intervals of turning points `end` in wells k."""
+
+        def h(u):
+            x = end[..., None] + inward[..., None] * u * u if sqrt_ends else u
+            y = np.asarray(f(x, k), dtype=float)
+            if with_coarse:
+                y = np.stack((y, np.asarray(coarse(y), dtype=float)))
+            return 2.0 * u * y if sqrt_ends else y
+
+        return h
+
+    every = (ends, _INWARD, np.arange(a.size)[:, None, None])
+    first = composite_gauss(integrand(*every, coarse is not None), lo, hi, START_PANELS)
+    prev = first if coarse is None else first[0]
+    cur = composite_gauss(integrand(*every), lo, hi, 2 * START_PANELS)
+    for k, half in np.argwhere(~_agree(prev, cur)):
+        cur[k, half] = _converge(integrand(ends[k, half], _INWARD[half], k),
+                                 float(lo[k, half]), float(hi[k, half]), 2 * START_PANELS,
+                                 float(prev[k, half]), float(cur[k, half]))
+    total = cur[:, 0] + cur[:, 1]
+    return total if coarse is None else (total, first[1, :, 0] + first[1, :, 1])
 
 
 def well_integral(f: Callable, a: float, b: float, split: float, sqrt_ends: bool = True) -> float:
-    """Integrate f over (a, b) as its two halves cut at split, a < split < b.
+    """Integrate f(x) over (a, b) as its two halves cut at split, a < split < b.
 
-    sqrt_ends substitutes x = endpoint + u^2 at both endpoints.
+    The one-well form of well_integrals.
     """
-    return sum(adaptive_gauss(sub(f), lo, hi)
-               for lo, hi, sub in _halves(a, b, split, sqrt_ends))
-
-
-def well_integral_pair(f: Callable, g: Callable, a: float, b: float,
-                       split: float, sqrt_ends: bool = True) -> tuple:
-    """(integral of f to REL_TOL, integral of g on the coarsest rule), one pass.
-
-    Both use the halves and substitutions of well_integral. g is integrated
-    only on the START_PANELS nodes that begin f's panel doubling: a cheap
-    estimate that never reaches the deep panels next to the endpoints.
-    """
-    total, coarse = 0.0, 0.0
-    for lo, hi, sub in _halves(a, b, split, sqrt_ends):
-        total += adaptive_gauss(sub(f), lo, hi)
-        coarse += composite_gauss(sub(g), lo, hi, START_PANELS)
-    return total, coarse
+    return float(well_integrals(lambda x, k: f(x), a, b, split, sqrt_ends)[0])
 
 
 def _cumulative_half(f: Callable, tp: float, x0: float, sqrt: bool) -> Callable:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Generator, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .classical import (Provenance, SampledDensity, default_grid, momentum_field
 from .errors import DegenerateAlpha, EnergyCeilingExceeded, NoClassicalRegion, NotConfining
 from .kinetics import BoundStateProblem
 from .potentials import TurningPoints, binding_energy, turning_points
-from .quadrature import cumulative_well_integral, well_integral, well_integral_pair
+from .quadrature import cumulative_well_integral, well_integral, well_integrals
 
 #: Langer connection phase at a linear turning point
 LANGER_PHASE = np.pi / 4.0
@@ -47,20 +47,28 @@ class WkbjState:
     action_residual: float
 
 
-def action_integral(problem: BoundStateProblem, E: float,
+def action_integral(problem: BoundStateProblem, E: Union[float, np.ndarray],
                     tps: Optional[TurningPoints] = None) -> tuple:
     """(A, dA/dE) from one pass, A(E) = integral of T^-1(E - V(x)) over the classical region.
 
-    The slope is the half-period integral of 1/|v(x)| = tau/2, taken on the
-    coarsest rule of A's own nodes. It is an estimate for root finding, not
-    a period.
+    E is one energy, or a 1-D array of energies whose turning points tps
+    then lists in order; A and dA/dE are then arrays. All energies share one
+    `quadrature.well_integrals` pass. The slope is the half-period integral
+    of 1/|v(x)| = tau/2, taken on the coarsest rule from the momentum at
+    A's own nodes. It is an estimate for root finding, not a period.
     """
-    tps = tps or turning_points(problem, E)
-    momentum = momentum_field(problem, E)
-    layout = well_layout(problem)
-    speed = speed_field(problem, E)
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
+    if tps is None:
+        tps = [turning_points(problem, e) for e in energies]
+    elif np.ndim(E) == 0:
+        tps = [tps]
+    deriv = problem.kinetic.deriv
     # every node of the coarse rule is interior, where the speed is positive
-    return well_integral_pair(momentum, lambda x: 1.0 / speed(x), tps.a, tps.b, *layout)
+    action, slope = well_integrals(
+        lambda x, k: momentum_field(problem, energies[k])(x),
+        [t.a for t in tps], [t.b for t in tps], *well_layout(problem),
+        coarse=lambda p: 1.0 / np.abs(np.asarray(deriv(p), dtype=float)))
+    return (float(action[0]), float(slope[0])) if np.ndim(E) == 0 else (action, slope)
 
 
 def _alpha(problem: BoundStateProblem, tps: TurningPoints, e_b: float) -> float:
@@ -88,9 +96,35 @@ class _Probe(NamedTuple):
         return 0.0 < self.slope < math.inf
 
 
-def _probe(problem: BoundStateProblem, E: float) -> _Probe:
-    tps = turning_points(problem, E)
-    return _Probe(E, tps, *action_integral(problem, E, tps))
+def _probes(problem: BoundStateProblem, energies) -> dict:
+    """energy -> its _Probe, or the error its evaluation raised; one A(E) pass for all.
+
+    When that pass raises, each energy is evaluated alone, so that an error
+    stays with the energy that raised it. Every error is caught: `quantize`
+    throws it into each level that asked for that energy.
+    """
+    out, tps = {}, {}
+    for E in energies:
+        try:
+            tps[E] = turning_points(problem, E)
+        except Exception as exc:
+            out[E] = exc
+
+    def evaluate(batch):
+        actions, slopes = action_integral(problem, np.array(batch), [tps[E] for E in batch])
+        out.update((E, _Probe(E, tps[E], float(A), float(s)))
+                   for E, A, s in zip(batch, actions, slopes))
+
+    try:
+        if tps:
+            evaluate(list(tps))
+    except Exception:
+        for E in tps:
+            try:
+                evaluate([E])
+            except Exception as exc:
+                out[E] = exc
+    return out
 
 
 def _newton_energy(e_lo: float, point: _Probe, target: float) -> Optional[float]:
@@ -108,20 +142,11 @@ def _newton_energy(e_lo: float, point: _Probe, target: float) -> Optional[float]
     return e_lo + s * math.exp(min(du, 700.0))
 
 
-def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
-    """Solve A(E_n) = pi*hbar*(n + 1/2) by safeguarded Newton with dA/dE = tau/2.
+def _level(problem: BoundStateProblem, n: int) -> Generator[float, _Probe, WkbjState]:
+    """Quantize level n as a generator that yields each energy it probes.
 
-    A(E) is strictly increasing for confining wells, so the root is unique.
-    The bracket starts at the well bottom e_lo, where A = 0 exactly and is
-    never evaluated, and its top grows geometrically until A reaches the
-    target; exceeding ENERGY_CEILING * max(1, |e_lo|) above the well bottom
-    or losing the turning points signals a non-confining configuration.
-    Inside the bracket each step is Newton on log A against log(E - e_lo),
-    replaced by bisection when it leaves the bracket, fails to halve the
-    step before last, or meets a slope that is not finite and positive. The
-    iteration stops once |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE,
-    which is as finely as A resolves at E, or when the bracket or the step
-    shrinks below one ulp; the best iterate is returned.
+    It is sent that energy's _Probe, or has the error of its evaluation
+    thrown in, and returns the level's WkbjState (see `quantize`).
     """
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
@@ -133,7 +158,7 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
     lo, gap = e_lo, max(1.0, abs(e_lo))
     while True:
         try:
-            point = _probe(problem, e_lo + gap)
+            point = yield e_lo + gap
         except (NoClassicalRegion, NotConfining) as exc:
             raise EnergyCeilingExceeded(
                 f"no classical region at probe energy {e_lo + gap}: {exc}") from exc
@@ -166,7 +191,7 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
         if e_new == point.energy:
             break
         step_before_last, last_step = last_step, abs(e_new - point.energy)
-        point = _probe(problem, e_new)
+        point = yield e_new
         if abs(point.action - target) < abs(best.action - target):
             best = point
 
@@ -174,6 +199,54 @@ def quantize(problem: BoundStateProblem, n: int) -> WkbjState:
     alpha = _alpha(problem, tps, binding_energy(problem, best.energy))
     return WkbjState(n=n, energy=float(best.energy), turning_points=tps,
                      alpha=alpha, action_residual=float(abs(best.action - target)))
+
+
+def quantize(problem: BoundStateProblem,
+             n: Union[int, Iterable[int]]) -> Union[WkbjState, tuple]:
+    """Solve A(E_n) = pi*hbar*(n + 1/2) by safeguarded Newton with dA/dE = tau/2.
+
+    n is one level, or an iterable of levels whose states are returned as a
+    tuple in its order. A(E) is strictly increasing for confining wells, so
+    the root is unique. The bracket starts at the well bottom e_lo, where
+    A = 0 exactly and is never evaluated, and its top grows geometrically
+    until A reaches the target; exceeding ENERGY_CEILING * max(1, |e_lo|)
+    above the well bottom or losing the turning points signals a
+    non-confining configuration. Inside the bracket each step is Newton on
+    log A against log(E - e_lo), replaced by bisection when it leaves the
+    bracket, fails to halve the step before last, or meets a slope that is
+    not finite and positive. The iteration stops once
+    |A - target| <= RESOLUTION_ULPS * ulp(E) * dA/dE, which is as finely as
+    A resolves at E, or when the bracket or the step shrinks below one ulp;
+    the best iterate is returned.
+
+    The levels move in lock-step: each takes the energies it would take
+    alone, and each round evaluates A(E) at the next energy of every level
+    in one `_probes` call, once for levels that ask for the same energy.
+    Many levels raise what quantizing them one by one in ascending n
+    raises: the error of the lowest failing level. Levels above it stop.
+    """
+    ns = list(n) if np.iterable(n) else [n]
+    runs = [_level(problem, level) for level in ns]
+    states, failed = [None] * len(ns), {}
+    replies = dict.fromkeys(range(len(ns)))  # level i -> what it is sent next
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = (runs[i].throw(reply) if isinstance(reply, Exception)
+                           else runs[i].send(reply))
+            except StopIteration as done:
+                states[i] = done.value
+            except Exception as exc:
+                failed[i] = exc
+        if failed:
+            lowest = min(ns[i] for i in failed)
+            asks = {i: E for i, E in asks.items() if ns[i] < lowest}
+        probes = _probes(problem, sorted(set(asks.values())))
+        replies = {i: probes[E] for i, E in asks.items()}
+    if failed:
+        raise failed[min(failed, key=lambda i: ns[i])]
+    return tuple(states) if np.iterable(n) else states[0]
 
 
 def _phase(problem: BoundStateProblem, E: float, tps: TurningPoints) -> Callable:

@@ -11,8 +11,10 @@ import pytest
 import yaml
 
 import semibound.classical
+import semibound.cli
 import semibound.fgh
 import semibound.kinetics
+import semibound.potentials
 import semibound.wkbj
 from semibound.cli import main, parse_config, run_solve, validate
 from semibound.errors import ConfigError, QuadratureNotConverged
@@ -273,6 +275,25 @@ def test_exit_code_1_on_quadrature_budget(tmp_path, monkeypatch, capsys):
     assert main(["solve", "--config", str(path), "--pipeline", "wkbj",
                  "--out", str(tmp_path / "x")]) == 1
     assert "QuadratureNotConverged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["classical", "wkbj", "compare"])
+def test_exit_code_1_for_states_beyond_a_plateau(tmp_path, monkeypatch, capsys, pipeline):
+    # V = 20 x^2/(1 + x^2) stops confining at 20: states 0..3 are found below 16, and the
+    # bracket of states 4 and up probes E = 32; the multi-level call raises state 4's error
+    plateau = lambda height: semibound.potentials.from_callable(
+        "plateau", lambda x: height * x * x / (1.0 + x * x), minimum_location=0.0)
+    monkeypatch.setitem(semibound.cli.POTENTIAL_KINDS, "plateau", (plateau, ("height",)))
+    path = write_config(tmp_path, """
+problem:
+  kinetic: {kind: nonrelativistic, m: 1.0}
+  potential: {kind: plateau, height: 20.0}
+states: [0, 3, 4, 7]
+""")
+    assert main(["solve", "--config", str(path), "--pipeline", pipeline,
+                 "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "EnergyCeilingExceeded: no classical region at probe energy 32.0: no turning point")
 
 
 def test_validate_command_reports_bad_parameter(capsys):

@@ -157,7 +157,7 @@ def test_build_report_leaves_config_alone_and_quantizes_once(monkeypatch, benchm
     original = semibound.wkbj.quantize
 
     def counting(problem, n, *args, **kwargs):
-        calls.append(n)
+        calls.extend(np.atleast_1d(n).tolist())  # one level, or a multi-level call's levels
         return original(problem, n, *args, **kwargs)
 
     # compare holds its own reference; auto_box looks quantize up in wkbj

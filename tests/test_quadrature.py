@@ -10,7 +10,7 @@ from semibound.quadrature import (
     composite_gauss,
     cumulative_well_integral,
     well_integral,
-    well_integral_pair,
+    well_integrals,
 )
 
 
@@ -76,12 +76,27 @@ def test_infinite_estimate_never_agrees_with_finite(monkeypatch):
 
 
 def test_pair_matches_separate_integrals():
-    # integral of sqrt(1-x^2) to tolerance; of 1/sqrt(1-x^2) on the coarse rule
+    # integral of sqrt(1-x^2) to tolerance; of 1/sqrt(1-x^2), made from its values, on the
+    # coarse rule
     f = lambda x: np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    g = lambda x: 1.0 / np.sqrt(1.0 - x * x)
-    total, coarse = well_integral_pair(f, g, -1.0, 1.0, 0.0)
-    assert total == well_integral(f, -1.0, 1.0, 0.0)
-    assert coarse == pytest.approx(np.pi, rel=1e-12)
+    total, coarse = well_integrals(lambda x, k: f(x), -1.0, 1.0, 0.0, coarse=lambda y: 1.0 / y)
+    assert total[0] == well_integral(f, -1.0, 1.0, 0.0)
+    assert coarse[0] == pytest.approx(np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("sqrt_ends", [True, False])
+def test_many_wells_match_one_well_each(sqrt_ends):
+    # c_k cos^2(w_k x / r_k) on (-r_k, r_k): the wells differ in width and in integrand, and
+    # the fastest oscillation needs more panels than the pass's first two levels
+    r, c = np.array([0.5, 1.0, 3.0, 40.0]), np.array([1.0, 2.0, 0.5, 3.0])
+    w = np.array([1, 2, 5, 60])
+
+    def f(x, k):
+        return c[k] * np.cos(w[k] * x / r[k]) ** 2
+
+    wells = well_integrals(f, -r, r, 0.1 * r[0], sqrt_ends)
+    for k in range(r.size):
+        assert wells[k] == well_integral(lambda x: f(x, k), -r[k], r[k], 0.1 * r[0], sqrt_ends)
 
 
 @pytest.mark.parametrize("sqrt_ends", [True, False])
@@ -96,11 +111,13 @@ def test_cumulative_integral_closed_form(sqrt_ends):
 @pytest.mark.parametrize("split", [0.0, 3.0, -1.0, 4.0, np.nan])
 @pytest.mark.parametrize("integrate", [
     lambda f, split: well_integral(f, 0.0, 3.0, split),
-    lambda f, split: well_integral_pair(f, f, 0.0, 3.0, split),
+    lambda f, split: well_integrals(lambda x, k: f(x), [-1.0, 0.0], [4.0, 3.0], split,
+                                    coarse=f),
     lambda f, split: well_integral(f, 0.0, 3.0, split, sqrt_ends=False),
     lambda f, split: cumulative_well_integral(f, 0.0, 3.0, split),
 ], ids=["single", "pair", "no-substitution", "cumulative"])
 def test_split_outside_the_interval_is_refused(integrate, split):
-    # the two halves need a < split < b; a split at an end or outside is an error
+    # the two halves need a < split < b; a split at an end or outside is an error, also
+    # when it is inside another well of the same pass
     with pytest.raises(ValueError, match="not inside"):
         integrate(lambda x: x * x, split)

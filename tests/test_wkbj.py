@@ -8,6 +8,8 @@ from semibound import (
     BoundStateProblem,
     EnergyCeilingExceeded,
     MultiWellUnsupported,
+    NotConfining,
+    QuadratureNotConverged,
     action_integral,
     harmonic,
     linear,
@@ -19,13 +21,15 @@ from semibound import (
     turning_points,
     wkbj_wavefunction,
 )
-from semibound.classical import momentum_field
+from semibound.classical import momentum_field, speed_field, well_layout
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
-from semibound.quadrature import cumulative_well_integral
+from semibound.quadrature import (START_PANELS, adaptive_gauss, composite_gauss,
+                                  cumulative_well_integral, sqrt_substituted)
 from semibound.wkbj import wavefunction_values
 
 from conftest import count_sign_changes
+from test_metamorphic import _asymmetric_kink
 
 
 def relativistic_linear_action(E, m, lam):
@@ -174,7 +178,7 @@ def test_quantize_probes(monkeypatch, case, n):
     original = semibound.wkbj.action_integral
 
     def counting(problem, E, *args, **kwargs):
-        energies.append(E)
+        energies.extend(np.atleast_1d(E).tolist())  # a round's energies come as one array
         return original(problem, E, *args, **kwargs)
 
     monkeypatch.setattr(semibound.wkbj, "action_integral", counting)
@@ -189,6 +193,132 @@ def test_quantize_probes(monkeypatch, case, n):
         bracket += 1
     assert bracket >= 1
     assert len(energies) - bracket <= 12
+
+
+def _reference_action(problem, E, tps):
+    """(A, dA/dE) at one energy, the reference for the lock-step pass: each half of the well
+    by its own adaptive_gauss, and tau/2 on each half's START_PANELS rule, on which the
+    momentum is evaluated once more."""
+    momentum, speed = momentum_field(problem, E), speed_field(problem, E)
+    split, sqrt_ends = well_layout(problem)
+    halves = ([(0.0, np.sqrt(split - tps.a), lambda f: sqrt_substituted(f, tps.a, tps.b)),
+               (0.0, np.sqrt(tps.b - split), lambda f: sqrt_substituted(f, tps.b, tps.a))]
+              if sqrt_ends else [(tps.a, split, lambda f: f), (split, tps.b, lambda f: f)])
+    action = slope = 0.0
+    for lo, hi, sub in halves:
+        action += adaptive_gauss(sub(momentum), lo, hi)
+        slope += composite_gauss(sub(lambda x: 1.0 / speed(x)), lo, hi, START_PANELS)
+    return action, slope
+
+
+def _one_level_at_a_time(monkeypatch, problem, ns):
+    """The states of ns quantized one level after another on _reference_action; the first
+    error raised ends the loop and is returned in place of the states."""
+
+    known = {}  # every level probes the same bracket energies
+
+    def reference(problem, E, tps):
+        for e, t in zip(E, tps):
+            if e not in known:
+                known[e] = _reference_action(problem, e, t)
+        return tuple(np.array(column) for column in zip(*(known[e] for e in E)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semibound.wkbj, "action_integral", reference)
+        try:
+            return [quantize(problem, n) for n in ns]
+        except Exception as exc:
+            return exc
+
+
+def _bits(state):
+    """Every field of a WkbjState, each float as its exact hex form."""
+    tps = state.turning_points
+    return [state.n] + [float(x).hex() for x in (state.energy, tps.a, tps.b, state.alpha,
+                                                 state.action_residual)]
+
+
+LEVELS_CASES = {
+    "benchmark_a": lambda: BoundStateProblem(relativistic(0.2), linear(0.2)),
+    "benchmark_b": lambda: BoundStateProblem(massless(), linear(0.2)),
+    "oscillator": lambda: BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0)),
+    # T^-1 synthesized by brentq_array
+    "quartic_law": lambda: BoundStateProblem(
+        kinetic_from_callable("quartic", lambda p: 0.5 * p * p + 0.01 * p**4), linear(0.2)),
+    # slopes 0.2 and 0.5 either side of a kink, turning points by brentq_array
+    "asymmetric_kink": lambda: _asymmetric_kink(relativistic(0.2))[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVELS_CASES))
+def test_levels_in_lock_step_equal_one_level_at_a_time(monkeypatch, case):
+    problem = LEVELS_CASES[case]()
+    ns = range(64)
+    states = quantize(problem, ns)
+    assert [s.n for s in states] == list(ns)
+    assert [_bits(s) for s in states] == [
+        _bits(s) for s in _one_level_at_a_time(monkeypatch, problem, ns)]
+
+
+def _plateau(height: float):
+    """V = height * x^2 / (1 + x^2): confining below E_B = height only."""
+    return potential_from_callable("plateau", lambda x: height * x * x / (1.0 + x * x),
+                                   minimum_location=0.0)
+
+
+def test_levels_beyond_a_plateau_raise_as_one_level_at_a_time(monkeypatch):
+    # E_0..E_3 lie below 16, where their bracket ends; the others probe E = 32, above the plateau
+    problem = BoundStateProblem(nonrelativistic(1.0), _plateau(20.0))
+    ns = list(range(8))
+    expected = _one_level_at_a_time(monkeypatch, problem, ns)
+    assert isinstance(expected, EnergyCeilingExceeded)
+    assert isinstance(expected.__cause__, NotConfining)
+    assert quantize(problem, range(4)) == tuple(quantize(problem, n) for n in range(4))
+    with pytest.raises(EnergyCeilingExceeded) as raised:
+        quantize(problem, ns[::-1])
+    assert str(raised.value) == str(expected)
+    assert isinstance(raised.value.__cause__, NotConfining)
+
+
+def test_a_quadrature_failure_stays_with_its_level(monkeypatch, benchmark_a):
+    """Level 3 fails in its Newton phase, after levels 7 and up have failed at a bracket probe.
+
+    A(E) fails to converge within 1e-3 of E_3 = 1.53, and above E = 4, which levels 7 and
+    up (E_7 = 2.20) probe at E = 4.2 in the same round as lower levels probe below it. The
+    multi-level call raises level 3's error, as one level at a time does.
+    """
+    e3 = quantize(benchmark_a, 3).energy
+    original = semibound.wkbj.action_integral
+
+    def failing(problem, E, tps):
+        energies = np.atleast_1d(E)
+        if np.any(np.abs(energies - e3) < 1e-3):
+            raise QuadratureNotConverged("no agreement near E_3")
+        if np.any(energies > 4.0):
+            raise QuadratureNotConverged("no agreement above E = 4")
+        return original(problem, E, tps)
+
+    rounds = []
+    probes = semibound.wkbj._probes
+
+    def recording(problem, energies):
+        rounds.append(energies)
+        return probes(problem, energies)
+
+    monkeypatch.setattr(semibound.wkbj, "action_integral", failing)
+    monkeypatch.setattr(semibound.wkbj, "_probes", recording)
+    ns = list(range(12))
+    with pytest.raises(QuadratureNotConverged, match="near E_3"):
+        quantize(benchmark_a, ns)
+    # the bracket probe above 4 came in an earlier round than level 3's failing probe, and
+    # with energies of levels below 3
+    above = min(i for i, energies in enumerate(rounds) if any(e > 4.0 for e in energies))
+    near = min(i for i, energies in enumerate(rounds) if any(abs(e - e3) < 1e-3 for e in energies))
+    assert above < near
+    assert min(rounds[above]) < e3
+    with pytest.raises(QuadratureNotConverged, match="near E_3"):
+        for n in ns:
+            quantize(benchmark_a, n)
 
 
 def test_alpha_massless_closed_form(benchmark_b):

@@ -8,14 +8,18 @@ the working tree, so only the program differs) in a subprocess with
 PYTHONPATH=<tree>/src, PYTHONDONTWRITEBYTECODE=1 and BLAS pinned to one thread
 (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), writing into the same temporary
 directory. At one thread the eigensolve's bits do not follow the host's CPU
-count, and they are those of perfbench, which pins the same. The two output trees are then compared file by file.
-For each CSV whose bytes differ, the worst |new - old| / max|old| of every
-column both headers share is printed, and each column one header lacks is
-named with the side that has it. Exit status 0 only when both trees hold the
-same files with the same bytes; nothing is written outside the temporary
-directory. The line totals of src/semibound/*.py at REV and in the working
-tree are printed too, so a refactor can show in one run that src/ shrank and
-no output moved.
+count, and they are those of perfbench, which pins the same. The classical,
+wkbj and compare pipelines also run on a copy of each benchmark config that
+asks for states 0..63, written into the temporary directory, so that the
+quantizer moves many levels in each of its rounds. The two output trees are
+then compared file by file. For each CSV whose bytes differ, the worst
+|new - old| / max|old| of every column both headers share is printed, and
+each column one header lacks is named with the side that has it. One line
+per set of configs gives its count of byte-identical files. Exit status 0
+only when both trees hold the same files with the same bytes; nothing is
+written outside the temporary directory. The line totals of
+src/semibound/*.py at REV and in the working tree are printed too, so a
+refactor can show in one run that src/ shrank and no output moved.
 """
 
 from __future__ import annotations
@@ -31,21 +35,41 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import yaml
+
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = ("benchmark_a", "benchmark_b")
 PIPELINES = ("classical", "wkbj", "fgh", "compare")
+#: the pipelines that quantize, run once more on each benchmark config at states 0..MANY_STATES
+MANY_LEVEL_PIPELINES = ("classical", "wkbj", "compare")
+MANY_STATES = 63
 
 
-def run_pipelines(tree: Path, out_root: Path) -> None:
-    """Every pipeline on every benchmark config with the package under tree/src, at 1 BLAS thread."""
+def config_sets(root: Path) -> dict:
+    """set name -> (config paths, pipelines): the benchmark configs, and their copies that
+    ask for states 0..MANY_STATES, written under root."""
+    many = []
+    for cfg in CONFIGS:
+        doc = yaml.safe_load((REPO / "configs" / f"{cfg}.yaml").read_text(encoding="utf-8"))
+        doc["states"] = {"range": [0, MANY_STATES]}
+        path = root / f"{cfg}.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        many.append(path)
+    return {"benchmark configs": ([REPO / "configs" / f"{cfg}.yaml" for cfg in CONFIGS],
+                                  PIPELINES),
+            f"states 0..{MANY_STATES}": (many, MANY_LEVEL_PIPELINES)}
+
+
+def run_pipelines(tree: Path, out_root: Path, configs: list, pipelines: tuple) -> None:
+    """The pipelines on every config with the package under tree/src, at 1 BLAS thread."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    for cfg in CONFIGS:
-        for pipeline in PIPELINES:
+    out_root.mkdir(parents=True)
+    for cfg in configs:
+        for pipeline in pipelines:
             subprocess.run(
-                [sys.executable, "-m", "semibound.cli", "solve",
-                 "--config", str(REPO / "configs" / f"{cfg}.yaml"),
-                 "--pipeline", pipeline, "--out", str(out_root / f"{cfg}-{pipeline}")],
+                [sys.executable, "-m", "semibound.cli", "solve", "--config", str(cfg),
+                 "--pipeline", pipeline, "--out", str(out_root / f"{cfg.stem}-{pipeline}")],
                 env=env, cwd=out_root, check=True, stdout=subprocess.DEVNULL)
 
 
@@ -129,15 +153,20 @@ def main(argv=None) -> int:
                                  check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(root / "rev", filter="data")
-        for side, tree in (("rev", root / "rev"), ("tree", REPO)):
-            (root / f"out-{side}").mkdir()
-            run_pipelines(tree, root / f"out-{side}")
-        total, identical, lines = compare_trees(root / "out-rev", root / "out-tree")
+        (root / "configs").mkdir()
+        lines, totals, same = [], [], True
+        for i, (name, (configs, pipelines)) in enumerate(config_sets(root / "configs").items()):
+            for side, tree in (("rev", root / "rev"), ("tree", REPO)):
+                run_pipelines(tree, root / f"out-{side}" / str(i), configs, pipelines)
+            total, identical, diffs = compare_trees(root / "out-rev" / str(i),
+                                                    root / "out-tree" / str(i))
+            lines += diffs
+            totals.append(f"{identical}/{total} files byte-identical to {args.rev} ({name})")
+            same &= identical == total
         sizes = (f"src/semibound/*.py: {src_lines(root / 'rev')} lines at {args.rev}, "
                  f"{src_lines(REPO)} in the working tree")
-    print("\n".join(lines + [sizes, f"{identical}/{total} files byte-identical to {args.rev}"]))
-    return 0 if identical == total else 1
-
+    print("\n".join(lines + [sizes] + totals))
+    return 0 if same else 1
 
 if __name__ == "__main__":
     sys.exit(main())
