@@ -40,16 +40,16 @@ each solved for its lowest states at about a quarter of the cost of the
 full matrix. Any other H is one block of size N.
 
 Each block is diagonalized in place by LAPACK's dsyevr, in the OpenBLAS numpy
-bundles, through ctypes, for its lowest eigenpairs only. Where numpy bundles
-none, np.linalg.eigh finds every eigenpair of a copy and the lowest are kept
-(see _lapack).
-Both parity blocks share one (M+1) x (M+1) array, the odd block in the strict
-triangle the even one leaves free, and on numpy's OpenBLAS at one BLAS thread
-with two CPUs or more the two are solved at the same time (see _both_lowest).
+bundles, through ctypes, for its lowest eigenpairs only. Where numpy bundles none,
+np.linalg.eigh finds every eigenpair of a copy and the lowest are kept (see
+_lapack). Both parity blocks share one (M+1) x (M+1) array, the odd block in the
+strict triangle the even one leaves free; on numpy's OpenBLAS, set to one BLAS
+thread, the two are solved at the same time (see _eigenpairs).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -335,7 +335,7 @@ def _eigh_dsyevr(A, count, lower):
 
 @functools.cache
 def _lapack():
-    """(dsyevr, blas_threads): LAPACK's dsyevr, and the BLAS thread count where the call frees the GIL.
+    """(dsyevr, one_blas_thread): LAPACK's dsyevr, and a context that runs it at one BLAS thread.
 
     dsyevr(A, count, lower) -> (w, v, info) finds A's lowest count eigenpairs,
     reading its lower (UPLO = 'L') or upper ('U') triangle. A is the matrix as
@@ -343,16 +343,26 @@ def _lapack():
     column stride is the leading dimension. The routine is the one in the
     OpenBLAS numpy bundles and has loaded, called through ctypes, which frees
     the GIL: JOBZ = 'V', RANGE = 'I', in place on A, with the workspace of
-    LAPACK's own query; blas_threads() reads that library's thread count, or
-    is None where it has no such function. Where numpy bundles none, dsyevr is
-    _eigh_dsyevr, on a copy of A, and blas_threads is None.
+    LAPACK's own query. one_blas_thread() sets that library's thread count,
+    process-wide, to 1 and restores the caller's count on exit. Where numpy
+    bundles none, dsyevr is _eigh_dsyevr, on a copy of A, and one_blas_thread
+    is None: the threads of np.linalg.eigh's BLAS are not ours to set.
     """
     path = _numpy_openblas()
     library = ctypes.CDLL(path) if path else None
     routine = getattr(library, "scipy_dsyevr_64_", None)
     if routine is None:
         return _eigh_dsyevr, None
-    return _openblas_dsyevr(routine), getattr(library, "scipy_openblas_get_num_threads64_", None)
+    @contextlib.contextmanager
+    def one_blas_thread():
+        count = library.scipy_openblas_get_num_threads64_()
+        library.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            library.scipy_openblas_set_num_threads64_(count)
+
+    return _openblas_dsyevr(routine), one_blas_thread
 
 
 def _lowest(B: np.ndarray, parity: int, count: int):
@@ -374,29 +384,16 @@ def _lowest(B: np.ndarray, parity: int, count: int):
     return w, v
 
 
-def _at_once(blas_threads) -> bool:
-    """Whether the two parity blocks are solved at the same time, in two threads.
-
-    Only on numpy's OpenBLAS, whose dsyevr call frees the GIL (blas_threads is
-    not None; the eigh fallback solves its blocks in turn), at one BLAS thread,
-    and with two CPUs or more for this process. At more BLAS threads
-    two solves at once were slower than in turn, and their bits would follow
-    the thread count.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return blas_threads is not None and blas_threads() == 1 and cpus >= 2
-
-
 def _both_lowest(Y: np.ndarray, counts: dict) -> dict:
     """{+1: even pairs, -1: odd pairs}: the lowest counts[p] eigenpairs of each block packed in Y.
 
-    Where _at_once allows, a worker thread solves the odd block while the
-    caller solves the even one; both calls give the bits they give in turn.
-    The worker calls private functions only, so a tracer that wraps the
-    public ones sees one thread. Any error in it, an info != 0 included, is
-    raised here as EigensolverFailure once both solves have ended.
+    On numpy's OpenBLAS, whose ctypes call frees the GIL, a worker thread solves
+    the odd block while the caller solves the even one; the eigh fallback
+    solves them in turn. The worker calls private functions only, so a tracer
+    that wraps the public ones sees one thread. Any error in it, an info != 0
+    included, is raised here as EigensolverFailure once both solves have ended.
     """
-    if not _at_once(_lapack()[1]):  # also resolves _lapack before any worker starts
+    if _lapack()[1] is None:
         return {p: _lowest(Y, p, count) for p, count in counts.items()}
     odd = []
 
@@ -437,32 +434,33 @@ def _unfold(vectors: np.ndarray, parity: int) -> np.ndarray:
 def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
     """Lowest n_states eigenvalues of H on grid, ascending, and their unit eigenvectors as columns.
 
-    An H whose diagonal is mirror-equal about the centre point is solved as
-    its even and odd blocks, both held in one array (_parity_blocks) and
-    solved at the same time where _at_once allows, each first for
-    (n_states + 1) // 2 + 1 states. A block all of whose states land among
-    the lowest n_states of the merge may hold more below them, so the array
-    is built again and that block solved again for n_states: the merge is
-    then that of the full matrix, whatever the order of the parities. Any
-    other H is one block.
+    An H whose diagonal is mirror-equal about the centre point is solved as its even
+    and odd blocks, both held in one array (_parity_blocks) and solved by
+    _both_lowest, each first for (n_states + 1) // 2 + 1 states. A block all of
+    whose states land among the lowest n_states of the merge may hold more below
+    them, so the array is built again and that block solved again for n_states: the
+    merge is then that of the full matrix, whatever the order of the parities. On
+    numpy's OpenBLAS these solves run at one BLAS thread, so their bits do not
+    follow the host's count; any other H is one block, at that count.
     """
     K, V = _kernel_and_potential(problem, grid)
     M = len(grid) // 2
     if not np.array_equal(V[M + 1:], V[M - 1::-1]):
         return _lowest(_block(K, V, 0), 0, n_states)
     sizes = {1: M + 1, -1: M}
-    found = _both_lowest(_parity_blocks(K, V),
-                         {p: min((n_states + 1) // 2 + 1, n) for p, n in sizes.items()})
-    energies = np.concatenate([found[p][0] for p in sizes])
-    owner = np.repeat(list(sizes), [len(found[p][0]) for p in sizes])
-    owner = owner[np.argsort(energies, kind="stable")[:n_states]]
-    # a block solved in full needs no second solve; otherwise the first solves hold
-    # n_states + 2 states or more, so at most one block can have every state among
-    # the lowest n_states; the other has left one of its states out, and its
-    # unsolved states lie above that one
-    for p, n in sizes.items():
-        if len(found[p][0]) == np.count_nonzero(owner == p) < min(n_states, n):
-            found[p] = _lowest(_parity_blocks(K, V), p, min(n_states, n))
+    with (_lapack()[1] or contextlib.nullcontext)():
+        found = _both_lowest(_parity_blocks(K, V),
+                             {p: min((n_states + 1) // 2 + 1, n) for p, n in sizes.items()})
+        energies = np.concatenate([found[p][0] for p in sizes])
+        owner = np.repeat(list(sizes), [len(found[p][0]) for p in sizes])
+        owner = owner[np.argsort(energies, kind="stable")[:n_states]]
+        # a block solved in full needs no second solve; otherwise the first solves hold
+        # n_states + 2 states or more, so at most one block can have every state among
+        # the lowest n_states; the other has left one of its states out, and its
+        # unsolved states lie above that one
+        for p, n in sizes.items():
+            if len(found[p][0]) == np.count_nonzero(owner == p) < min(n_states, n):
+                found[p] = _lowest(_parity_blocks(K, V), p, min(n_states, n))
     energies = np.concatenate([found[p][0] for p in sizes])
     order = np.argsort(energies, kind="stable")[:n_states]
     vectors = np.hstack([_unfold(found[p][1], p) for p in sizes])
@@ -472,12 +470,12 @@ def _eigenpairs(problem: BoundStateProblem, grid: np.ndarray, n_states: int):
 def solve(problem: BoundStateProblem, config: FghConfig) -> Spectrum:
     """Lowest n_states eigenpairs of the grid Hamiltonian.
 
-    Each block of H is solved in place by LAPACK's dsyevr for those eigenpairs
-    only (resolve_grid guarantees N > n_states), or for every pair by
-    np.linalg.eigh where numpy bundles no OpenBLAS (see _lapack); a split well
-    holds both blocks in one array the size of the even block (see _eigenpairs).
-    A non-finite H raises EigensolverFailure naming the kinetic kernel or the
-    first grid x where V is not finite.
+    Each block of H is solved in place by LAPACK's dsyevr for those eigenpairs only
+    (resolve_grid guarantees N > n_states), or for every pair by np.linalg.eigh
+    where numpy bundles no OpenBLAS (see _lapack); a split well holds both blocks in
+    one array the size of the even block, solved at one BLAS thread on numpy's
+    OpenBLAS (see _eigenpairs). A non-finite H raises EigensolverFailure naming the
+    kinetic kernel or the first grid x where V is not finite.
     Eigenvectors are scaled and signed as one table: divided by sqrt(dx), so
     dx * sum(psi_i^2) = 1, and negated where their first component above 1e-6
     of their largest magnitude is negative; state n's wavefunction is row n.

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import os
 import subprocess
@@ -30,8 +31,8 @@ from semibound import (
     solve,
 )
 from semibound.cli import main
-from semibound.fgh import (GAUSS_OFFSET, _at_once, _block, _eigenpairs, _kernel_and_potential,
-                           _lowest, _parity_blocks, _zeta_negative, kinetic_kernel, resolve_grid)
+from semibound.fgh import (GAUSS_OFFSET, _block, _eigenpairs, _kernel_and_potential, _lowest,
+                           _parity_blocks, _zeta_negative, kinetic_kernel, resolve_grid)
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import LocalForm
 from semibound.potentials import from_callable as potential_from_callable
@@ -260,15 +261,15 @@ def _held(K, V, parity):
 
 @pytest.fixture
 def lapack_routes(monkeypatch):
-    """fgh._lapack's dsyevr on numpy's bundled OpenBLAS, then its eigh fallback (locator hidden)."""
+    """fgh._lapack() on numpy's bundled OpenBLAS, then on its eigh fallback (locator hidden)."""
     fgh = semibound.fgh
     if fgh._numpy_openblas() is None:
         pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
     fgh._lapack.cache_clear()
-    numpy_route = fgh._lapack()[0]
+    numpy_route = fgh._lapack()
     monkeypatch.setattr(fgh, "_numpy_openblas", lambda: None)
     fgh._lapack.cache_clear()
-    yield numpy_route, fgh._lapack()[0]
+    yield numpy_route, fgh._lapack()
     fgh._lapack.cache_clear()  # the next solve finds the route again, with the locator restored
 
 
@@ -285,7 +286,7 @@ def test_eigh_fallback_agrees_with_dsyevr(benchmark_a, benchmark_b, lapack_route
     N = 2049 with 64 states, as perfbench's fgh_fine solves them.
     """
     numpy_route, fallback = lapack_routes
-    assert fallback is semibound.fgh._eigh_dsyevr
+    assert fallback == (semibound.fgh._eigh_dsyevr, None)
     for prob in (benchmark_a, benchmark_b):
         x_min, x_max = auto_box(prob, n_states)
         cfg = FghConfig(n_points=n_points, n_states=n_states,
@@ -293,7 +294,7 @@ def test_eigh_fallback_agrees_with_dsyevr(benchmark_a, benchmark_b, lapack_route
         spectra = []
         for route in (numpy_route, fallback):
             with monkeypatch.context() as m:
-                m.setattr(semibound.fgh, "_lapack", lambda: (route, None))
+                m.setattr(semibound.fgh, "_lapack", lambda: route)
                 spectra.append(solve(prob, cfg))
         reference, found = spectra
         assert np.max(np.abs(found.energies / reference.energies - 1.0)) <= 1e-13
@@ -366,26 +367,41 @@ def test_parity_blocks_hold_both_blocks_in_one_array(benchmark_a, n_points):
     assert Y[1:, :-1][lower].tobytes() == _block(K, V[M + 1:], -1)[lower].tobytes()
 
 
-def test_blocks_at_once_and_in_turn_are_the_same_bits(tmp_path):
-    """Benchmark B at N = 2049 with 64 states, at 1 BLAS thread, as fgh_fine solves it."""
-    code = ("from semibound import BoundStateProblem, FghConfig, fgh, massless, linear; "
-            "prob = BoundStateProblem(massless(), linear(0.2)); "
-            "grid = fgh.resolve_grid(prob, FghConfig(n_points=2049, n_states=64)); "
-            "fgh._at_once = lambda blas_threads: True; at_once = fgh._eigenpairs(prob, grid, 64); "
-            "fgh._at_once = lambda blas_threads: False; in_turn = fgh._eigenpairs(prob, grid, 64); "
-            "print(*[a.tobytes() == b.tobytes() for a, b in zip(at_once, in_turn)])")
+def test_split_well_bits_do_not_follow_the_blas_thread_count(tmp_path):
+    """Benchmark B at N = 2049 with 64 states, as fgh_fine solves it, at 2 and at 1 BLAS thread.
+
+    The split well is solved at one BLAS thread whatever the host's count, so the
+    energies and wavefunctions are the same bytes; the caller's count is read again
+    after the solve.
+    """
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: eigh's threads are the host's")
+    code = ("import ctypes, hashlib; from semibound import BoundStateProblem, FghConfig, fgh, "
+            "massless, linear; blas = ctypes.CDLL(fgh._numpy_openblas()); "
+            "start = blas.scipy_openblas_get_num_threads64_(); "
+            "spectrum = fgh.solve(BoundStateProblem(massless(), linear(0.2)), "
+            "FghConfig(n_points=2049, n_states=64)); "
+            "print(start, blas.scipy_openblas_get_num_threads64_(), hashlib.sha256(b''.join("
+            "[spectrum.energies.tobytes()] + [s.wavefunction.tobytes() for s in spectrum.states]"
+            ")).hexdigest())")
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["True"] * 2
+    runs = []
+    for count in ("2", "1"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": count,
+               "OMP_NUM_THREADS": count}
+        runs.append(subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                                   capture_output=True, text=True, check=True).stdout.split())
+    assert all(start == end for start, end, _ in runs)
+    assert runs[0][2] == runs[1][2]
 
 
 def test_odd_block_failure_in_the_worker_is_typed_and_exits_1(benchmark_a, monkeypatch,
                                                                tmp_path, capsys):
+    """The worker's info = 3 is a typed failure, and the caller's BLAS thread count is restored."""
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: the eigh fallback solves in turn")
     # info = 3 from the UPLO = 'U' call only, which runs in the worker thread
-    dsyevr, in_worker, escaped = semibound.fgh._lapack()[0], [], []
+    (dsyevr, one_blas_thread), in_worker, escaped = semibound.fgh._lapack(), [], []
 
     def fails_on_upper(A, count, lower):
         if lower:
@@ -393,44 +409,25 @@ def test_odd_block_failure_in_the_worker_is_typed_and_exits_1(benchmark_a, monke
         in_worker.append(threading.current_thread() is not threading.main_thread())
         return None, None, 3
 
-    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: (fails_on_upper, lambda: 1))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(semibound.fgh, "_lapack", lambda: (fails_on_upper, one_blas_thread))
     monkeypatch.setattr(threading, "excepthook", escaped.append)
-    with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
-        solve(benchmark_a, FghConfig(n_points=65, n_states=4))
-    config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
-    assert main(["solve", "--config", str(config), "--pipeline", "fgh",
-                 "--out", str(tmp_path / "x")]) == 1
+    blas = ctypes.CDLL(semibound.fgh._numpy_openblas())
+    start = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)  # a count the solve must not leave at 1
+    try:
+        count = blas.scipy_openblas_get_num_threads64_()
+        with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
+            solve(benchmark_a, FghConfig(n_points=65, n_states=4))
+        assert blas.scipy_openblas_get_num_threads64_() == count
+        config = Path(__file__).resolve().parents[1] / "configs" / "benchmark_a.yaml"
+        assert main(["solve", "--config", str(config), "--pipeline", "fgh",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert blas.scipy_openblas_get_num_threads64_() == count
+    finally:
+        blas.scipy_openblas_set_num_threads64_(start)
     assert "dense eigensolver failed" in capsys.readouterr().err
     assert in_worker == [True, True]
     assert escaped == []
-
-
-def test_blocks_run_at_once_only_at_one_blas_thread_on_two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _at_once(lambda: 1)
-    assert not _at_once(lambda: 2)
-    assert not _at_once(None)  # no thread count: the eigh fallback solves in turn
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not _at_once(lambda: 1)
-
-
-def test_blas_threads_are_read_on_numpys_route_only(tmp_path):
-    """Numpy's OpenBLAS reports its thread count, which gates the solve; the eigh fallback has none."""
-    if semibound.fgh._numpy_openblas() is None:
-        pytest.skip("this numpy bundles no libscipy_openblas64_*: there is one route only")
-    code = ("import os; from semibound import fgh; "
-            "os.sched_getaffinity = lambda pid: {0, 1}; threads = fgh._lapack()[1]; "
-            "fgh._numpy_openblas = lambda: None; fgh._lapack.cache_clear(); "
-            "print(threads(), fgh._at_once(threads), fgh._lapack()[1])")
-    src = Path(__file__).resolve().parents[1] / "src"
-    seen = []
-    for count in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": count,
-               "OMP_NUM_THREADS": count}
-        seen.append(subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                                   capture_output=True, text=True, check=True).stdout.split())
-    assert seen == [["1", "True", "None"], ["2", "False", "None"]]
 
 
 def test_zeta_at_negative_arguments():
@@ -501,7 +498,8 @@ def test_kink_correction_overflow_is_an_eigensolver_failure():
 
 
 def test_eigensolver_failure_is_typed_and_exits_1(benchmark_a, monkeypatch, tmp_path, capsys):
-    # a LAPACK whose dsyevr reports info = 3 > 0: it did not converge
+    # a LAPACK whose dsyevr reports info = 3 > 0: it did not converge; with no
+    # one_blas_thread, as on the eigh fallback, the blocks are solved in turn
     monkeypatch.setattr(semibound.fgh, "_lapack", lambda: (lambda A, count, lower: (None, None, 3),
                                                            None))
     with pytest.raises(EigensolverFailure, match="dense eigensolver failed: .* info = 3"):
@@ -552,36 +550,13 @@ def test_overflowing_potential_exits_1_without_traceback(tmp_path):
     assert "Traceback" not in result.stderr
 
 
-def test_solve_holds_one_hamiltonian(benchmark_b, monkeypatch):
-    """LAPACK works in place on each parity block, one block after the other.
-
-    The peak is about one (M+1) x (M+1) block, not a copy of it, nor both blocks, nor H.
-    The blocks are held in turn here at any BLAS thread count; the at-once path
-    is bounded by test_solving_both_blocks_at_once_holds_one_block.
-    """
-    if semibound.fgh._numpy_openblas() is None:
-        pytest.skip("this numpy bundles no libscipy_openblas64_*: eigh returns every eigenvector")
-    monkeypatch.setattr(semibound.fgh, "_at_once", lambda blas_threads: False)
-    N = 1025
-    cfg = FghConfig(n_points=N, n_states=32)
-    solve(benchmark_b, cfg)
-    tracemalloc.start()
-    try:
-        solve(benchmark_b, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * 8 * (N // 2 + 1) ** 2
-
-
-def test_solving_both_blocks_at_once_holds_one_block(benchmark_b, monkeypatch):
+def test_solving_both_blocks_at_once_holds_one_block(benchmark_b):
     """Both parity blocks solved at the same time share one (M+1) x (M+1) array.
 
     The peak stays under 1.5 blocks; two arrays, one per block, would be 2.0 or more.
     """
     if semibound.fgh._numpy_openblas() is None:
         pytest.skip("this numpy bundles no libscipy_openblas64_*: eigh returns every eigenvector")
-    monkeypatch.setattr(semibound.fgh, "_at_once", lambda blas_threads: True)
     N = 1025
     cfg = FghConfig(n_points=N, n_states=32)
     solve(benchmark_b, cfg)

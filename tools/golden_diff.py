@@ -7,8 +7,11 @@ tree and for that copy, every pipeline runs on each benchmark config (those of
 the working tree, so only the program differs) in a subprocess with
 PYTHONPATH=<tree>/src, PYTHONDONTWRITEBYTECODE=1 and BLAS pinned to one thread
 (OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1), writing into the same temporary
-directory. At one thread the eigensolve's bits do not follow the host's CPU
-count, and they are those of perfbench, which pins the same. The classical,
+directory. A split well's eigensolve pins itself to one BLAS thread, but the
+one-block FGH path (an asymmetric or undeclared well, or a box off the
+minimum) runs at the host's count, and so does every split solve at a base
+revision older than that pin; at one thread on both sides their bits match,
+and they are those of perfbench, which pins the same. The classical,
 wkbj and compare pipelines also run on a copy of each benchmark config that
 asks for states 0..63, written into the temporary directory, so that the
 quantizer moves many levels in each of its rounds. The two output trees are
