@@ -168,16 +168,14 @@ def kinetic_kernel(problem: BoundStateProblem, n_points: int, dx: float) -> np.n
     N = n_points
     M = (N - 1) // 2
     p = 2.0 * np.pi * problem.hbar * np.arange(M + 1) / (N * dx)
-    # a T that overflows at the grid's momenta (a very narrow box) is refused just below
+    # a T that overflows at the grid's momenta (a very narrow box) is refused here, and a
+    # finite T whose DFT overflows by the caller's finiteness check, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         T = np.asarray(problem.kinetic.eval(p), dtype=float)
-    if not np.isfinite(T).all():
-        raise EigensolverFailure(f"the kinetic kernel needs a finite T(p): T is not finite "
-                                 f"at grid p = {p[~np.isfinite(T)][0]:.6g}")
-    c = np.concatenate((T, T[:0:-1]))
-    # a finite T that overflows here is reported by the caller's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.fft.fft(c).real / N
+        if not np.isfinite(T).all():
+            raise EigensolverFailure(f"the kinetic kernel needs a finite T(p): T is not finite "
+                                     f"at grid p = {p[~np.isfinite(T)][0]:.6g}")
+        return np.fft.fft(np.concatenate((T, T[:0:-1]))).real / N
 
 
 def _zeta_negative(q: float) -> float:
@@ -344,23 +342,32 @@ def _lapack():
     OpenBLAS numpy bundles and has loaded, called through ctypes, which frees
     the GIL: JOBZ = 'V', RANGE = 'I', in place on A, with the workspace of
     LAPACK's own query. one_blas_thread() sets that library's thread count,
-    process-wide, to 1 and restores the caller's count on exit. Where numpy
-    bundles none, dsyevr is _eigh_dsyevr, on a copy of A, and one_blas_thread
-    is None: the threads of np.linalg.eigh's BLAS are not ours to set.
+    process-wide, to 1; of overlapping entries, counted under a lock, the first
+    saves the caller's count and the last restores it. Where numpy bundles none,
+    dsyevr is _eigh_dsyevr, on a copy of A, and one_blas_thread is None: the
+    threads of np.linalg.eigh's BLAS are not ours to set.
     """
     path = _numpy_openblas()
     library = ctypes.CDLL(path) if path else None
     routine = getattr(library, "scipy_dsyevr_64_", None)
     if routine is None:
         return _eigh_dsyevr, None
+    lock, pinned, count = threading.Lock(), 0, 1
     @contextlib.contextmanager
     def one_blas_thread():
-        count = library.scipy_openblas_get_num_threads64_()
-        library.scipy_openblas_set_num_threads64_(1)
+        nonlocal pinned, count
+        with lock:
+            if not pinned:
+                count = library.scipy_openblas_get_num_threads64_()
+                library.scipy_openblas_set_num_threads64_(1)
+            pinned += 1
         try:
             yield
         finally:
-            library.scipy_openblas_set_num_threads64_(count)
+            with lock:
+                pinned -= 1
+                if not pinned:
+                    library.scipy_openblas_set_num_threads64_(count)
 
     return _openblas_dsyevr(routine), one_blas_thread
 

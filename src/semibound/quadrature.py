@@ -96,13 +96,15 @@ def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
                      composite_gauss(f, lo, hi, 2 * START_PANELS))
 
 
-def sqrt_substituted(f: Callable, endpoint: float, inward: float) -> Callable:
-    """Transform f for x = endpoint + sign*u^2 with sign toward the interior.
+def sqrt_substituted(f: Callable, endpoint, inward) -> Callable:
+    """Transform f for x = endpoint + sign*u^2 with sign toward inward, a point inside.
 
     Returns h(u) = 2u * f(endpoint + sign*u^2); integrating h over
-    [0, sqrt(|segment|)] equals integrating f over the segment.
+    [0, sqrt(|segment|)] equals integrating f over the segment. endpoint may be
+    an array of shape S, one interval's end each, for u of shape S + (n,).
     """
-    sign = 1.0 if inward > endpoint else -1.0
+    endpoint = np.asarray(endpoint, dtype=float)
+    sign, endpoint = np.where(inward > endpoint, 1.0, -1.0)[..., None], endpoint[..., None]
 
     def h(u):
         u = np.asarray(u, dtype=float)
@@ -120,52 +122,42 @@ def _require_inside(a, b, split: float) -> None:
         raise ValueError(f"split {split!r} is not inside ({a!r}, {b!r})")
 
 
-#: the direction of the sqrt substitution of a well's left and right half
-_INWARD = np.array([1.0, -1.0])
-
-
 def well_integrals(f: Callable, a, b, split: float, sqrt_ends: bool = True,
                    coarse: Optional[Callable] = None):
     """Integrate f over each well (a[k], b[k]) as its two halves cut at split.
 
     Every well needs a[k] < split < b[k]. f(x, k) is the integrand at the
     nodes x, where k (broadcastable against x) is the index of each node's
-    well. sqrt_ends substitutes x = endpoint + u^2 at both endpoints. Both
-    halves of every well are integrated on START_PANELS panels, then on
-    2 * START_PANELS, in one composite_gauss call each; a half whose two
-    estimates disagree goes on doubling by itself, as in adaptive_gauss.
-    Returns one integral per well. With `coarse`, returns (integrals, coarse
-    integrals), the second of coarse(f(x, k)) on the START_PANELS rule,
-    made from the same values of f.
+    well. sqrt_ends substitutes x = endpoint + u^2 at both endpoints
+    (sqrt_substituted). Both halves of every well are integrated on START_PANELS
+    panels, then on 2 * START_PANELS, in one composite_gauss call each; a half
+    whose two estimates disagree goes on doubling by itself, as in
+    adaptive_gauss. Returns one integral per well. With `coarse`, returns
+    (integrals, coarse integrals), the second of coarse(f(x, k)) on the
+    START_PANELS rule, made from the same values of f.
     """
     a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     _require_inside(a, b, split)
     # interval [k, 0] is the left half of well k, [k, 1] its right half
     ends = np.stack((a, b), axis=-1)
-    if sqrt_ends:
-        lo, hi = np.zeros_like(ends), np.sqrt(_INWARD * (split - ends))
-    else:
-        lo = np.stack((a, np.full_like(a, split)), axis=-1)
-        hi = np.stack((np.full_like(b, split), b), axis=-1)
+    lo, hi = ((np.zeros_like(ends), np.sqrt(np.abs(split - ends))) if sqrt_ends
+              else (np.minimum(ends, split), np.maximum(ends, split)))
 
-    def integrand(end, inward, k, with_coarse: bool = False) -> Callable:
-        """u -> integrand of the intervals of turning points `end` in wells k."""
+    def integrand(end, k, with_coarse: bool = False) -> Callable:
+        """The integrand, in u or in x, of the halves from turning points `end` in wells k."""
 
-        def h(u):
-            x = end[..., None] + inward[..., None] * u * u if sqrt_ends else u
+        def g(x):
             y = np.asarray(f(x, k), dtype=float)
-            if with_coarse:
-                y = np.stack((y, np.asarray(coarse(y), dtype=float)))
-            return 2.0 * u * y if sqrt_ends else y
+            return np.stack((y, np.asarray(coarse(y), dtype=float))) if with_coarse else y
 
-        return h
+        return sqrt_substituted(g, end, split) if sqrt_ends else g
 
-    every = (ends, _INWARD, np.arange(a.size)[:, None, None])
+    every = (ends, np.arange(a.size)[:, None, None])
     first = composite_gauss(integrand(*every, coarse is not None), lo, hi, START_PANELS)
     prev = first if coarse is None else first[0]
     cur = composite_gauss(integrand(*every), lo, hi, 2 * START_PANELS)
     for k, half in np.argwhere(~_agree(prev, cur)):
-        cur[k, half] = _converge(integrand(ends[k, half], _INWARD[half], k),
+        cur[k, half] = _converge(integrand(ends[k, half], k),
                                  float(lo[k, half]), float(hi[k, half]), 2 * START_PANELS,
                                  float(prev[k, half]), float(cur[k, half]))
     total = cur[:, 0] + cur[:, 1]

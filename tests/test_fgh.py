@@ -430,6 +430,47 @@ def test_odd_block_failure_in_the_worker_is_typed_and_exits_1(benchmark_a, monke
     assert escaped == []
 
 
+def test_overlapping_pins_from_two_threads_restore_the_callers_count():
+    """Two threads' one_blas_thread sections, in the order A enters, B enters, A leaves, B leaves.
+
+    B still runs at one BLAS thread once A has left, and the count the first
+    entrant found reads again once the last has left.
+    """
+    if semibound.fgh._numpy_openblas() is None:
+        pytest.skip("this numpy bundles no libscipy_openblas64_*: no thread count is pinned")
+    one_blas_thread = semibound.fgh._lapack()[1]
+    blas = ctypes.CDLL(semibound.fgh._numpy_openblas())
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    in_b_after_a = []
+
+    def a():
+        with one_blas_thread():
+            a_in.set()
+            b_in.wait(60)
+        a_out.set()
+
+    def b():
+        a_in.wait(60)
+        with one_blas_thread():
+            b_in.set()
+            a_out.wait(60)
+            in_b_after_a.append(blas.scipy_openblas_get_num_threads64_())
+
+    start = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(2)  # a count the pins must not leave at 1
+    try:
+        count = blas.scipy_openblas_get_num_threads64_()
+        threads = [threading.Thread(target=run) for run in (a, b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert in_b_after_a == [1]
+        assert blas.scipy_openblas_get_num_threads64_() == count
+    finally:
+        blas.scipy_openblas_set_num_threads64_(start)
+
+
 def test_zeta_at_negative_arguments():
     assert _zeta_negative(1.0) == pytest.approx(-1 / 12, rel=1e-15)
     assert _zeta_negative(3.0) == pytest.approx(1 / 120, rel=1e-15)

@@ -9,6 +9,7 @@ from semibound.quadrature import (
     adaptive_gauss,
     composite_gauss,
     cumulative_well_integral,
+    sqrt_substituted,
     well_integral,
     well_integrals,
 )
@@ -97,6 +98,20 @@ def test_many_wells_match_one_well_each(sqrt_ends):
     wells = well_integrals(f, -r, r, 0.1 * r[0], sqrt_ends)
     for k in range(r.size):
         assert wells[k] == well_integral(lambda x: f(x, k), -r[k], r[k], 0.1 * r[0], sqrt_ends)
+
+
+def test_sqrt_substituted_over_many_endpoints_is_each_scalar_call():
+    # intervals ending at -1, 0.5 and 2 with their interior above, at 3, 1 and 4 with it
+    # below: the array of endpoints, one row of u each, gives each scalar call's bits
+    ends = np.array([[-1.0, 3.0], [0.5, 1.0], [2.0, 4.0]])
+    inward = np.array([[0.0, 2.0], [0.7, 0.8], [3.0, 3.0]])
+    u = np.linspace(0.0, 1.5, 7) * np.arange(1.0, 7.0).reshape(3, 2, 1)
+    f = lambda x: np.exp(-x) * np.cos(3.0 * x)
+    every = sqrt_substituted(f, ends, inward)(u)
+    assert every.shape == u.shape
+    for i, j in np.ndindex(ends.shape):
+        one = sqrt_substituted(f, ends[i, j], inward[i, j])(u[i, j])
+        assert every[i, j].tobytes() == one.tobytes()
 
 
 @pytest.mark.parametrize("sqrt_ends", [True, False])
