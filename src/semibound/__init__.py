@@ -35,7 +35,6 @@ from .errors import (
     InadmissibleLaw,
     MultiWellUnsupported,
     NoClassicalRegion,
-    NoEffectiveMass,
     NoStatesRequested,
     NotConfining,
     OddGridRequired,
@@ -57,7 +56,6 @@ from .kinetics import (
     KineticLaw,
     Smoothness,
     ValidationReport,
-    effective_mass,
     massless,
     nonrelativistic,
     reduced_kinetic,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import SampledDensity, classical_density, momentum_field
 from .errors import ConfigError, GridMismatch, GridTooCoarse, StateRangeMismatch
-from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
+from .fgh import FghConfig, Spectrum, explicit_box, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
 from .potentials import turning_points
 from .wkbj import WkbjState, quantize, wkbj_wavefunction
@@ -163,15 +163,16 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghC
     """
     ns = sorted(set(int(n) for n in ns))
     cfg = fgh_config.covering(ns)
+    box = explicit_box(cfg.box)
     wkbj_states = quantize(problem, ns)
     top = wkbj_states[-1]
     tps = top.turning_points
-    if cfg.box == "auto" and top.n == cfg.n_states - 1:
+    if box is None and top.n == cfg.n_states - 1:
         # the auto box comes from this very level: reuse its turning points
         cfg = replace(cfg, box=padded_box(tps))
-    elif cfg.box != "auto" and not cfg.box[0] <= tps.a < tps.b <= cfg.box[1]:
+    elif box is not None and not box[0] <= tps.a < tps.b <= box[1]:
         # in a single well the top state's classical region holds every other one
-        raise ConfigError(f"fgh.box {list(cfg.box)} does not contain the classical region "
+        raise ConfigError(f"fgh.box {list(box)} does not contain the classical region "
                           f"[{tps.a:.6g}, {tps.b:.6g}] of state n={top.n}")
     spectrum = solve(problem, cfg)
     report = compare_spectra(spectrum, wkbj_states)

@@ -7,10 +7,6 @@ class SemiboundError(Exception):
     exit_code = 1
 
 
-class NoEffectiveMass(SemiboundError):
-    """Kinetic law has no usable second derivative at p=0."""
-
-
 class NoClassicalRegion(SemiboundError):
     """Binding energy at or below the potential minimum: no classically allowed region."""
 

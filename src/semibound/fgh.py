@@ -53,10 +53,11 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -124,6 +125,21 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
+def explicit_box(box) -> Optional[Tuple[float, float]]:
+    """None for the box "auto", else the box as its pair (x_min, x_max).
+
+    Any other value, a string other than "auto" or anything but two real
+    numbers, is a ConfigError naming fgh.box.
+    """
+    if isinstance(box, str) and box == "auto":
+        return None
+    pair = tuple(box) if np.iterable(box) and not isinstance(box, str) else ()
+    if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
+        raise ConfigError(f"fgh.box must be 'auto' or a pair of numbers (x_min, x_max), "
+                          f"got {box!r}")
+    return pair
+
+
 def _grid(box: Tuple[float, float], n_points: int, anchor: float, offset: float) -> np.ndarray:
     """n_points on the lattice anchor + dx * (j - offset), j integer, dx = (x_max - x_min) / n_points.
 
@@ -146,14 +162,13 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         raise GridTooSmall(f"fgh.n_points = {config.n_points} is too small for "
                            f"{config.n_states} states: at least "
                            f"{2 * config.n_states + 1} are needed")
-    if config.box == "auto":
+    box = explicit_box(config.box)
+    if box is None:
         box = auto_box(problem, config.n_states)
-    else:
-        box = tuple(config.box)
-        if not (-np.inf < box[0] < box[1] < np.inf
-                and math.isfinite(float(box[1]) - float(box[0]))):
-            raise ConfigError(f"fgh.box needs finite x_min < x_max with a finite width "
-                              f"x_max - x_min, got {list(box)}")
+    elif not (-np.inf < box[0] < box[1] < np.inf
+              and math.isfinite(float(box[1]) - float(box[0]))):
+        raise ConfigError(f"fgh.box needs finite x_min < x_max with a finite width "
+                          f"x_max - x_min, got {list(box)}")
     offset = 0.0 if problem.potential.local_form is not None else GAUSS_OFFSET
     return _grid(box, config.n_points, problem.potential.minimum_location, offset)
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .errors import NoEffectiveMass
 from .roots import brentq_array
 
 if TYPE_CHECKING:
@@ -183,16 +182,6 @@ def reduced_kinetic(law: KineticLaw) -> KineticLaw:
         inverse=_clamped_inverse(lambda w: base_inv(np.asarray(w) + rest), 0.0),
         rest_energy=0.0,
     )
-
-
-def effective_mass(law: KineticLaw) -> float:
-    """M = 1/T''(0), defined for smooth laws with positive curvature at rest."""
-    if law.smoothness is Smoothness.NON_SMOOTH_AT_ZERO:
-        raise NoEffectiveMass(f"{law.name}: no second derivative at p=0")
-    d2 = float(law.deriv2(0.0))
-    if not np.isfinite(d2) or d2 <= 0.0:
-        raise NoEffectiveMass(f"{law.name}: T''(0) = {d2} not positive")
-    return 1.0 / d2
 
 
 @dataclass(frozen=True)

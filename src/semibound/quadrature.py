@@ -64,8 +64,10 @@ def composite_gauss(f: Callable, lo, hi, panels: int):
 
 def _agree(prev, cur):
     """Successive estimates that are finite and agree to REL_TOL (elementwise)."""
-    return (np.isfinite(cur) & np.isfinite(prev)
-            & (np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), np.abs(prev))))
+    # inf - inf is nan, which the isfinite terms already refuse: no warning for it
+    with np.errstate(invalid="ignore"):
+        return (np.isfinite(cur) & np.isfinite(prev)
+                & (np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), np.abs(prev))))
 
 
 def _converge(f: Callable, lo: float, hi: float, panels: int, prev: float, cur: float) -> float:
@@ -82,18 +84,6 @@ def _converge(f: Callable, lo: float, hi: float, panels: int, prev: float, cur: 
         panels *= 2
         prev, cur = cur, composite_gauss(f, lo, hi, panels)
     return cur
-
-
-def adaptive_gauss(f: Callable, lo: float, hi: float) -> float:
-    """Double the panel count until successive finite estimates agree to REL_TOL.
-
-    Raises QuadratureNotConverged when the next doubling would exceed
-    MAX_NODES. A non-finite estimate never counts as agreement.
-    """
-    if hi == lo:
-        return 0.0
-    return _converge(f, lo, hi, 2 * START_PANELS, composite_gauss(f, lo, hi, START_PANELS),
-                     composite_gauss(f, lo, hi, 2 * START_PANELS))
 
 
 def sqrt_substituted(f: Callable, endpoint, inward) -> Callable:
@@ -131,8 +121,8 @@ def well_integrals(f: Callable, a, b, split: float, sqrt_ends: bool = True,
     well. sqrt_ends substitutes x = endpoint + u^2 at both endpoints
     (sqrt_substituted). Both halves of every well are integrated on START_PANELS
     panels, then on 2 * START_PANELS, in one composite_gauss call each; a half
-    whose two estimates disagree goes on doubling by itself, as in
-    adaptive_gauss. Returns one integral per well. With `coarse`, returns
+    whose two estimates disagree goes on doubling by itself in _converge.
+    Returns one integral per well. With `coarse`, returns
     (integrals, coarse integrals), the second of coarse(f(x, k)) on the
     START_PANELS rule, made from the same values of f.
     """

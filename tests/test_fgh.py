@@ -22,6 +22,7 @@ from semibound import (
     OddGridRequired,
     auto_box,
     build_hamiltonian,
+    build_report,
     fgh_density,
     harmonic,
     linear,
@@ -148,10 +149,16 @@ def test_covering_needs_a_state():
         FghConfig().covering([])
 
 
-@pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0)])
+@pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0), (-10.0, 10.0, 3.0),
+                                 "Auto", (5.0,), ("a", "b")])
 def test_box_without_width_is_a_config_error(oscillator, box):
+    # a box with no finite width, and one that is neither "auto" nor a pair of numbers, is
+    # refused on both library routes to a grid
+    config = FghConfig(n_points=65, box=box, n_states=2)
     with pytest.raises(ConfigError, match="fgh.box"):
-        solve(oscillator, FghConfig(n_points=65, box=box, n_states=2))
+        solve(oscillator, config)
+    with pytest.raises(ConfigError, match="fgh.box"):
+        build_report(oscillator, [0, 1], config)
 
 
 def test_config_is_frozen():

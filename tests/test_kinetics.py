@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from semibound import (
     BoundStateProblem,
-    NoEffectiveMass,
     Smoothness,
-    effective_mass,
     harmonic,
     massless,
     nonrelativistic,
@@ -70,20 +68,6 @@ def test_validation_catches_odd_part():
     assert any(c.startswith("B") for c in failed)
 
 
-def test_effective_mass_nonrelativistic():
-    assert effective_mass(nonrelativistic(3.0)) == pytest.approx(3.0, rel=1e-14)
-
-
-def test_effective_mass_relativistic():
-    # T''(0) = 1/m for sqrt(p^2 + m^2)
-    assert effective_mass(relativistic(0.2)) == pytest.approx(0.2, rel=1e-12)
-
-
-def test_effective_mass_massless_raises():
-    with pytest.raises(NoEffectiveMass):
-        effective_mass(massless())
-
-
 def test_reduced_kinetic_zeroes_rest_energy():
     t = reduced_kinetic(relativistic(0.2))
     assert t.rest_energy == 0.0
@@ -135,7 +119,7 @@ def test_massless_deriv_matches_finite_differences_away_from_zero():
 def test_small_momentum_expansion(law, c4):
     # |T(p) - T(0) - p^2/(2M)| <= C p^4; for sqrt(p^2+m^2) the exact quartic
     # coefficient is 1/(8 m^3) = 15.625 at m = 0.2, C doubles it for slack.
-    M = effective_mass(law)
+    M = 1.0 / float(law.deriv2(0.0))
     p = np.linspace(-0.1, 0.1, 201)
     resid = np.abs(np.asarray(law.eval(p)) - law.rest_energy - p**2 / (2 * M))
     assert np.all(resid <= c4 * p**4 + 1e-15)
@@ -179,13 +163,6 @@ def test_nonpositive_hbar_is_refused():
 def test_validation_needs_samples():
     with pytest.raises(ValueError, match="non-empty"):
         validate_admissibility(nonrelativistic(1.0), np.array([]))
-
-
-def test_effective_mass_of_negative_curvature_raises():
-    concave = from_callable("concave", lambda p: 0.5 * p * p, deriv=lambda p: p,
-                            deriv2=lambda p: -np.ones_like(p))
-    with pytest.raises(NoEffectiveMass, match="not positive"):
-        effective_mass(concave)
 
 
 @pytest.mark.parametrize("law", [relativistic(0.2),

@@ -6,7 +6,6 @@ from semibound import QuadratureNotConverged
 from semibound.quadrature import (
     PANEL_ORDER,
     START_PANELS,
-    adaptive_gauss,
     composite_gauss,
     cumulative_well_integral,
     sqrt_substituted,
@@ -21,7 +20,7 @@ def test_polynomial_exact():
 
 
 def test_adaptive_smooth():
-    val = adaptive_gauss(np.sin, 0.0, np.pi)
+    val = well_integral(np.sin, 0.0, np.pi, 1.0, sqrt_ends=False)
     assert val == pytest.approx(2.0, rel=1e-12)
 
 
@@ -52,28 +51,24 @@ def test_no_substitution_when_disabled():
 
 def test_oscillatory_integrand():
     # sin^2(20x) over one envelope: mean 1/2 -> pi/2 over (0, pi)
-    val = adaptive_gauss(lambda x: np.sin(20 * x) ** 2, 0.0, np.pi)
+    val = well_integral(lambda x: np.sin(20 * x) ** 2, 0.0, np.pi, 1.0, sqrt_ends=False)
     assert val == pytest.approx(np.pi / 2, rel=1e-11)
-
-
-def test_empty_interval():
-    assert adaptive_gauss(np.exp, 1.0, 1.0) == 0.0
 
 
 def test_infinite_integrand_raises_at_budget(monkeypatch):
     monkeypatch.setattr(semibound.quadrature, "MAX_NODES", 2**12)
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+        well_integral(lambda x: np.full_like(x, np.inf), 0.0, 1.0, 0.5)
 
 
 def test_infinite_estimate_never_agrees_with_finite(monkeypatch):
     # finite on the coarsest level only: a finite-vs-inf pair must not pass
     # as agreement, and the inf levels that follow run into the budget
     coarse = START_PANELS * PANEL_ORDER
-    f = lambda x: np.ones_like(x) if x.size == coarse else np.full_like(x, np.inf)
+    f = lambda x: np.ones_like(x) if x.shape[-1] == coarse else np.full_like(x, np.inf)
     monkeypatch.setattr(semibound.quadrature, "MAX_NODES", 2**12)
     with pytest.raises(QuadratureNotConverged):
-        adaptive_gauss(f, 0.0, 1.0)
+        well_integral(f, 0.0, 1.0, 0.5)
 
 
 def test_pair_matches_separate_integrals():

@@ -24,7 +24,7 @@ from semibound import (
 from semibound.classical import momentum_field, speed_field, well_layout
 from semibound.kinetics import from_callable as kinetic_from_callable
 from semibound.potentials import from_callable as potential_from_callable
-from semibound.quadrature import (START_PANELS, adaptive_gauss, composite_gauss,
+from semibound.quadrature import (START_PANELS, _converge, composite_gauss,
                                   cumulative_well_integral, sqrt_substituted)
 from semibound.wkbj import wavefunction_values
 
@@ -197,8 +197,8 @@ def test_quantize_probes(monkeypatch, case, n):
 
 def _reference_action(problem, E, tps):
     """(A, dA/dE) at one energy, the reference for the lock-step pass: each half of the well
-    by its own adaptive_gauss, and tau/2 on each half's START_PANELS rule, on which the
-    momentum is evaluated once more."""
+    by its own panel doubling from START_PANELS panels, and tau/2 on each half's START_PANELS
+    rule, on which the momentum is evaluated once more."""
     momentum, speed = momentum_field(problem, E), speed_field(problem, E)
     split, sqrt_ends = well_layout(problem)
     halves = ([(0.0, np.sqrt(split - tps.a), lambda f: sqrt_substituted(f, tps.a, tps.b)),
@@ -206,7 +206,9 @@ def _reference_action(problem, E, tps):
               if sqrt_ends else [(tps.a, split, lambda f: f), (split, tps.b, lambda f: f)])
     action = slope = 0.0
     for lo, hi, sub in halves:
-        action += adaptive_gauss(sub(momentum), lo, hi)
+        p = sub(momentum)
+        action += _converge(p, lo, hi, 2 * START_PANELS, composite_gauss(p, lo, hi, START_PANELS),
+                            composite_gauss(p, lo, hi, 2 * START_PANELS))
         slope += composite_gauss(sub(lambda x: 1.0 / speed(x)), lo, hi, START_PANELS)
     return action, slope
 
