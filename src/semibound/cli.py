@@ -144,15 +144,10 @@ def parse_config(path) -> RunConfig:
 
         fgh_raw = _known(raw.get("fgh"), ("n_points", "box", "n_states"), "fgh.")
         box = "auto" if fgh_raw.get("box") is None else fgh_raw["box"]  # YAML null is auto
-        if box != "auto":
-            if not (isinstance(box, (list, tuple)) and len(box) == 2):
-                raise ConfigError("fgh.box must be 'auto' or [x_min, x_max]")
-            box = (_float(box[0], "fgh.box"), _float(box[1], "fgh.box"))
-        fgh_cfg = fgh.FghConfig(
-            n_points=_int(fgh_raw.get("n_points", 513), "fgh.n_points"),
-            box=box,
-            n_states=_int(fgh_raw.get("n_states", max(states) + 1), "fgh.n_states"),
-        )
+        if isinstance(box, list):  # PyYAML reads 1e1 as a string
+            box = [_float(end, "fgh.box") for end in box]
+        fgh_cfg = fgh.FghConfig(**{**fgh_raw, "box": box,
+                                   "n_states": fgh_raw.get("n_states", max(states) + 1)})
 
         outputs = _known(raw.get("outputs"), ("directory", "formats", "grid_points"), "outputs.")
         formats = outputs.get("formats", ["csv", "json"])

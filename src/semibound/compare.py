@@ -18,7 +18,7 @@ import numpy as np
 
 from .classical import SampledDensity, classical_density, momentum_field
 from .errors import ConfigError, GridMismatch, GridTooCoarse, StateRangeMismatch
-from .fgh import FghConfig, Spectrum, explicit_box, fgh_density, padded_box, solve
+from .fgh import FghConfig, Spectrum, fgh_density, padded_box, solve
 from .kinetics import BoundStateProblem
 from .potentials import turning_points
 from .wkbj import WkbjState, quantize, wkbj_wavefunction
@@ -161,18 +161,17 @@ def build_report(problem: BoundStateProblem, ns: Sequence[int], fgh_config: FghC
     export. Classical and WKBJ curves are evaluated at the WKBJ energy; the
     smoothed-FGH metric uses each FGH state's own energy.
     """
-    ns = sorted(set(int(n) for n in ns))
-    cfg = fgh_config.covering(ns)
-    box = explicit_box(cfg.box)
+    ns = sorted(set(ns))
     wkbj_states = quantize(problem, ns)
+    cfg = fgh_config.covering(ns)
     top = wkbj_states[-1]
     tps = top.turning_points
-    if box is None and top.n == cfg.n_states - 1:
+    if cfg.box == "auto" and top.n == cfg.n_states - 1:
         # the auto box comes from this very level: reuse its turning points
         cfg = replace(cfg, box=padded_box(tps))
-    elif box is not None and not box[0] <= tps.a < tps.b <= box[1]:
+    elif cfg.box != "auto" and not cfg.box[0] <= tps.a < tps.b <= cfg.box[1]:
         # in a single well the top state's classical region holds every other one
-        raise ConfigError(f"fgh.box {list(box)} does not contain the classical region "
+        raise ConfigError(f"fgh.box {list(cfg.box)} does not contain the classical region "
                           f"[{tps.a:.6g}, {tps.b:.6g}] of state n={top.n}")
     spectrum = solve(problem, cfg)
     report = compare_spectra(spectrum, wkbj_states)
@@ -266,28 +265,31 @@ def write_outputs(rows: Sequence[dict], doc: dict, densities: Sequence[SampledDe
     csv: summary.csv (the first row's keys as the header, then each row's
     cells in that order; a row lacking a column raises KeyError) and one
     density table per state, all through one %-format; json: report.json
-    holding doc. No rows raises ValueError. Every refusal comes before the
-    first write, so a refused call leaves out_dir as it found it. Output is
+    holding doc. No rows, or formats that are a string, empty or not drawn
+    from csv and json, raise ValueError. Every refusal comes before the first
+    write, so a refused call leaves out_dir as it found it. Output is
     bit-deterministic for identical inputs: floats are written with 17
     significant digits and non-finite sentinels, and missing (None) summary
     cells, as null.
     """
     if not rows:
         raise ValueError("write_outputs needs at least one summary row")
-    formats = set(formats)
-    if "csv" in formats:
+    chosen = set() if isinstance(formats, str) else set(formats)
+    if not chosen or not chosen <= {"csv", "json"}:
+        raise ValueError(f"formats must be a non-empty collection of csv and json, got {formats!r}")
+    if "csv" in chosen:
         header = list(rows[0])
         table = np.array([[row[c] for c in header] for row in rows], dtype=float)
         _by_state(densities)  # refuses a bad density before summary.csv is written
-    if "json" in formats:
+    if "json" in chosen:
         text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if "csv" in formats:
+    if "csv" in chosen:
         written.append(_write_csv(out / "summary.csv", header, table))
         written.extend(write_density_tables(densities, out))
-    if "json" in formats:
+    if "json" in chosen:
         path = out / "report.json"
         path.write_text(text, encoding="utf-8")
         written.append(path)

@@ -57,7 +57,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -78,9 +78,24 @@ _TAIL = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674
 
 @dataclass(frozen=True)
 class FghConfig:
+    """A field of the wrong type, a bool included, is a ConfigError; a box pair becomes a tuple."""
+
     n_points: int = 513
     box: Union[str, Tuple[float, float]] = "auto"
     n_states: int = 16
+
+    def __post_init__(self):
+        for name in ("n_points", "n_states"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"fgh.{name} must be an integer, got {value!r}")
+        if isinstance(self.box, str) and self.box == "auto":
+            return
+        pair = tuple(self.box) if isinstance(self.box, (list, tuple, np.ndarray)) else ()
+        if len(pair) != 2 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                     for v in pair):
+            raise ConfigError(f"fgh.box must be 'auto' or [x_min, x_max], got {self.box!r}")
+        object.__setattr__(self, "box", pair)
 
     def covering(self, ns) -> "FghConfig":
         """This config with n_states raised, if need be, to hold every quantum number in ns.
@@ -125,21 +140,6 @@ def auto_box(problem: BoundStateProblem, n_states: int) -> Tuple[float, float]:
     return padded_box(quantize(problem, n_states - 1).turning_points)
 
 
-def explicit_box(box) -> Optional[Tuple[float, float]]:
-    """None for the box "auto", else the box as its pair (x_min, x_max).
-
-    Any other value, a string other than "auto" or anything but two real
-    numbers, is a ConfigError naming fgh.box.
-    """
-    if isinstance(box, str) and box == "auto":
-        return None
-    pair = tuple(box) if np.iterable(box) and not isinstance(box, str) else ()
-    if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
-        raise ConfigError(f"fgh.box must be 'auto' or a pair of numbers (x_min, x_max), "
-                          f"got {box!r}")
-    return pair
-
-
 def _grid(box: Tuple[float, float], n_points: int, anchor: float, offset: float) -> np.ndarray:
     """n_points on the lattice anchor + dx * (j - offset), j integer, dx = (x_max - x_min) / n_points.
 
@@ -162,8 +162,8 @@ def resolve_grid(problem: BoundStateProblem, config: FghConfig) -> np.ndarray:
         raise GridTooSmall(f"fgh.n_points = {config.n_points} is too small for "
                            f"{config.n_states} states: at least "
                            f"{2 * config.n_states + 1} are needed")
-    box = explicit_box(config.box)
-    if box is None:
+    box = config.box
+    if box == "auto":
         box = auto_box(problem, config.n_states)
     elif not (-np.inf < box[0] < box[1] < np.inf
               and math.isfinite(float(box[1]) - float(box[0]))):

@@ -56,8 +56,8 @@ class BoundStateProblem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if isinstance(self.hbar, bool) or not 0 < self.hbar < np.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 def _clamped_inverse(raw: Callable, rest: float) -> Callable:

@@ -148,6 +148,8 @@ def _level(problem: BoundStateProblem, n: int) -> Generator[float, _Probe, WkbjS
     It is sent that energy's _Probe, or has the error of its evaluation
     thrown in, and returns the level's WkbjState (see `quantize`).
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"quantum number must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"quantum number must be >= 0, got {n}")
     target = np.pi * problem.hbar * (n + 0.5)

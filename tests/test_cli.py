@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -58,6 +59,31 @@ problem:
 states: {range: [2, 5]}
 """)
     assert parse_config(path).states == [2, 3, 4, 5]
+
+
+def test_fgh_defaults_are_fgh_configs_own(tmp_path, monkeypatch):
+    # FghConfig holds the one default of n_points, so a config without it follows FghConfig
+    @dataclasses.dataclass(frozen=True)
+    class Coarse(semibound.fgh.FghConfig):
+        n_points: int = 257
+
+    monkeypatch.setattr(semibound.fgh, "FghConfig", Coarse)
+    path = write_config(tmp_path, """
+problem:
+  kinetic: {kind: massless}
+  potential: {kind: linear, lambda: 0.2}
+states: [0, 3]
+fgh: {box: null}
+""")
+    assert parse_config(path).fgh == Coarse(n_points=257, box="auto", n_states=4)
+
+
+def test_fgh_box_ends_read_as_numbers(tmp_path):
+    # PyYAML reads 2.5e1 as a string; each end of a list box is a number all the same
+    path = write_config(tmp_path, OSCILLATOR_YAML.replace(
+        "n_states: 4}", 'n_states: 4, box: ["-2e1", 2.5e1]}'))
+    config = parse_config(path).fgh
+    assert config.box == (-20.0, 25.0) and hash(config) == hash(replace(config))
 
 
 @pytest.mark.parametrize("snippet,fragment", [

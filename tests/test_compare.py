@@ -285,6 +285,25 @@ def test_write_outputs_refuses_no_rows(tmp_path, benchmark_a):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("formats", ["csv", "json", [], (), ["xml"], ["csv", "xml"], {"CSV"}])
+def test_bad_formats_are_refused_before_out_dir_is_made(tmp_path, benchmark_a, formats):
+    # a string would be iterated by character and an unknown format skipped, writing nothing
+    out = tmp_path / "out"
+    rows = [{"n": 0, "energy": 0.5}]
+    with pytest.raises(ValueError, match="formats must be a non-empty collection of csv and json"):
+        write_outputs(rows, {}, [], formats, out)
+    report, densities = build_report(benchmark_a, [0], FghConfig(n_points=65, n_states=2))
+    with pytest.raises(ValueError, match="formats must be a non-empty collection of csv and json"):
+        export(report, densities, formats, out)
+    assert not out.exists()
+
+
+def test_build_report_refuses_a_quantum_number_that_is_not_an_integer(benchmark_a):
+    # rounding 2.5 would report a state that was not asked for
+    with pytest.raises(ValueError, match="quantum number must be an integer, got 2.5"):
+        build_report(benchmark_a, [0, 2.5], FghConfig(n_points=65, n_states=4))
+
+
 def test_export_refuses_a_density_without_a_state(tmp_path, benchmark_a):
     # the README's rho_cl call carries no n: it was dropped without a table or an error
     state = quantize(benchmark_a, 0)

@@ -149,11 +149,34 @@ def test_covering_needs_a_state():
         FghConfig().covering([])
 
 
-@pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0), (-10.0, 10.0, 3.0),
-                                 "Auto", (5.0,), ("a", "b")])
+@pytest.mark.parametrize("box", [(-10.0, 10.0, 3.0), "Auto", (5.0,), ("a", "b"), (False, True),
+                                 np.array([True, False]), None, {"x_min": -3.0}])
+def test_malformed_box_is_refused_when_made(box):
+    # a box that is neither "auto" nor two real numbers, bools excluded, never reaches a grid
+    with pytest.raises(ConfigError, match=r"fgh.box must be 'auto' or \[x_min, x_max\]"):
+        FghConfig(n_points=65, box=box, n_states=2)
+
+
+@pytest.mark.parametrize("field,value", [("n_points", 65.0), ("n_points", "65"),
+                                         ("n_points", True), ("n_states", 3.5),
+                                         ("n_states", True), ("n_states", None)])
+def test_size_that_is_not_an_integer_is_refused_when_made(field, value):
+    with pytest.raises(ConfigError) as refused:
+        FghConfig(**{field: value})
+    assert str(refused.value) == f"fgh.{field} must be an integer, got {value!r}"
+
+
+def test_box_pair_is_stored_as_a_hashable_tuple():
+    for box in ([-3, 3.5], (-3, 3.5), np.array([-3.0, 3.5])):
+        config = FghConfig(box=box)
+        assert type(config.box) is tuple and config.box == (-3.0, 3.5)
+        assert hash(config) == hash(FghConfig(box=(-3.0, 3.5)))
+    assert FghConfig(n_points=np.int64(65), n_states=np.int32(2)).n_points == 65
+
+
+@pytest.mark.parametrize("box", [(3.0, -3.0), (-3.0, -3.0), (-np.inf, 3.0)])
 def test_box_without_width_is_a_config_error(oscillator, box):
-    # a box with no finite width, and one that is neither "auto" nor a pair of numbers, is
-    # refused on both library routes to a grid
+    # a box with no finite width is refused on both library routes to a grid
     config = FghConfig(n_points=65, box=box, n_states=2)
     with pytest.raises(ConfigError, match="fgh.box"):
         solve(oscillator, config)

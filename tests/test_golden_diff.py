@@ -1,9 +1,11 @@
 """The column comparison and the src line counter of tools/golden_diff.py, on tiny trees
-(no git, no CLI)."""
+(no git, no CLI), and the configs it runs."""
 
 import importlib.util
 import math
 from pathlib import Path
+
+import yaml
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "golden_diff.py"
 _spec = importlib.util.spec_from_file_location("golden_diff", TOOL)
@@ -77,3 +79,18 @@ def test_src_lines_counts_package_modules_like_wc(tmp_path):
                             "src/semibound/sub/c.py": "not counted\n",
                             "tests/test_a.py": "not counted\n"})
     assert golden_diff.src_lines(tree) == 2
+
+
+
+def test_config_sets_change_one_field_each(tmp_path):
+    sets = golden_diff.config_sets(tmp_path)
+    assert list(sets) == ["benchmark configs", "states 0..63", "fgh.box [-20, 25]"]
+    assert sets["fgh.box [-20, 25]"][1] == ("fgh", "compare")
+
+    def load(path):
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
+
+    for base, many, box in zip(*(paths for paths, _ in sets.values())):
+        doc = load(base)
+        assert load(many) == {**doc, "states": {"range": [0, 63]}}
+        assert load(box) == {**doc, "fgh": {**doc["fgh"], "box": [-20, 25]}}

@@ -160,6 +160,13 @@ def test_nonpositive_hbar_is_refused():
         BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0), hbar=0.0)
 
 
+@pytest.mark.parametrize("hbar", [np.inf, np.nan, True])
+def test_hbar_that_is_not_finite_or_is_a_bool_is_refused(hbar):
+    # an infinite hbar makes the FGH kernel's momentum p_0 = inf * 0 = nan
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        BoundStateProblem(nonrelativistic(1.0), harmonic(1.0, 1.0), hbar=hbar)
+
+
 def test_validation_needs_samples():
     with pytest.raises(ValueError, match="non-empty"):
         validate_admissibility(nonrelativistic(1.0), np.array([]))

@@ -477,3 +477,20 @@ def test_phase_matches_quad(request, case, bound, n):
 def test_negative_quantum_number_is_refused(oscillator):
     with pytest.raises(ValueError, match="quantum number must be >= 0"):
         quantize(oscillator, -1)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+def test_quantum_number_that_is_not_an_integer_is_refused(benchmark_a, n):
+    # A(E) = pi hbar (n + 1/2) has a root at any real n >= 0; only an integer n is a level
+    with pytest.raises(ValueError, match=f"quantum number must be an integer, got {n!r}"):
+        quantize(benchmark_a, n)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_level_that_is_not_an_integer_is_refused_among_many(benchmark_a, n):
+    with pytest.raises(ValueError, match=f"quantum number must be an integer, got {n!r}"):
+        quantize(benchmark_a, [0, n, 5])
+
+
+def test_numpy_integer_quantum_number_is_the_int_level(benchmark_a):
+    assert quantize(benchmark_a, np.int64(3)) == quantize(benchmark_a, 3)

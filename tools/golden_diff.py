@@ -14,7 +14,10 @@ revision older than that pin; at one thread on both sides their bits match,
 and they are those of perfbench, which pins the same. The classical,
 wkbj and compare pipelines also run on a copy of each benchmark config that
 asks for states 0..63, written into the temporary directory, so that the
-quantizer moves many levels in each of its rounds. The two output trees are
+quantizer moves many levels in each of its rounds; the fgh and compare
+pipelines run on a copy with the explicit box fgh.box = [-20, 25], off the
+minimum, so that the CLI's box parse and the one-block FGH path are covered
+too. The two output trees are
 then compared file by file. For each CSV whose bytes differ, the worst
 |new - old| / max|old| of every column both headers share is printed, and
 each column one header lacks is named with the side that has it. One line
@@ -46,21 +49,37 @@ PIPELINES = ("classical", "wkbj", "fgh", "compare")
 #: the pipelines that quantize, run once more on each benchmark config at states 0..MANY_STATES
 MANY_LEVEL_PIPELINES = ("classical", "wkbj", "compare")
 MANY_STATES = 63
+#: the pipelines that build an FGH grid, run once more on each benchmark config at EXPLICIT_BOX
+BOX_PIPELINES = ("fgh", "compare")
+#: an explicit box off the minimum x = 0 of both benchmark wells: one FGH block, not two
+EXPLICIT_BOX = [-20, 25]
+
+
+def _copies(root: Path, name: str, edit) -> list:
+    """Each benchmark config as edit(doc) leaves its parsed YAML, written as
+    root/name/<config>.yaml."""
+    paths = []
+    for cfg in CONFIGS:
+        doc = yaml.safe_load((REPO / "configs" / f"{cfg}.yaml").read_text(encoding="utf-8"))
+        edit(doc)
+        path = root / name / f"{cfg}.yaml"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+        paths.append(path)
+    return paths
 
 
 def config_sets(root: Path) -> dict:
     """set name -> (config paths, pipelines): the benchmark configs, and their copies that
-    ask for states 0..MANY_STATES, written under root."""
-    many = []
-    for cfg in CONFIGS:
-        doc = yaml.safe_load((REPO / "configs" / f"{cfg}.yaml").read_text(encoding="utf-8"))
-        doc["states"] = {"range": [0, MANY_STATES]}
-        path = root / f"{cfg}.yaml"
-        path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
-        many.append(path)
+    ask for states 0..MANY_STATES or solve on EXPLICIT_BOX, written under root."""
     return {"benchmark configs": ([REPO / "configs" / f"{cfg}.yaml" for cfg in CONFIGS],
                                   PIPELINES),
-            f"states 0..{MANY_STATES}": (many, MANY_LEVEL_PIPELINES)}
+            f"states 0..{MANY_STATES}": (
+                _copies(root, "many", lambda doc: doc.update(states={"range": [0, MANY_STATES]})),
+                MANY_LEVEL_PIPELINES),
+            f"fgh.box {EXPLICIT_BOX}": (
+                _copies(root, "box", lambda doc: doc["fgh"].update(box=EXPLICIT_BOX)),
+                BOX_PIPELINES)}
 
 
 def run_pipelines(tree: Path, out_root: Path, configs: list, pipelines: tuple) -> None:
